@@ -20,7 +20,10 @@
 # the shard/batch equivalence matrix (internal/hierarchy), the
 # bounded-parallelism pools (internal/par), and the concurrent
 # observability registry (internal/obs).
-# `make bench-smoke` regenerates BENCH_throughput.json with a short run.
+# `make bench-smoke` writes a short throughput run to benchmarks/latest.
+# `make perfbench-smoke` runs the repository benchmark's own tests and
+# one short sweep pass, which exits nonzero on any output-digest
+# mismatch (see perfbench/README.md).
 # `make bench` writes a fresh throughput snapshot to benchmarks/latest;
 # `make bench-gate` fails if it regressed >$(BENCH_TOL) against the
 # committed benchmarks/baseline; `make bench-promote` blesses the
@@ -64,15 +67,14 @@ GO ?= go
 
 .PHONY: all build vet lint lint-vet lint-json lint-fix-check \
 	lint-install test check race test-race microbench bench \
-	bench-gate bench-promote bench-smoke chaos fuzz-smoke mrc-smoke \
+	bench-gate bench-promote bench-smoke perfbench-smoke chaos fuzz-smoke mrc-smoke \
 	obs-smoke ldisd-smoke partition-smoke orgs-smoke examples govulncheck profile \
 	clean
 
 # Allowed fractional slowdown per experiment before bench-gate fails.
 BENCH_TOL ?= 0.05
-# The pinned gate workload: the four headline experiments, single
-# worker (so decode CPU time equals its wall share), three repeats
-# with the median reported.
+# The pinned gate workload: the headline experiments, single worker,
+# three repeats with the median wall time reported.
 BENCH_FLAGS = -accesses 200000 -parallel 1 -bench-repeats 3 fig6 fig7 fig8 table5 partition orgs
 
 all: check
@@ -253,12 +255,21 @@ bench-promote:
 	cp benchmarks/latest/BENCH_throughput.json benchmarks/baseline/BENCH_throughput.json
 	@echo "bench-promote: baseline updated; commit benchmarks/baseline"
 
-# Short throughput run: regenerates the committed BENCH_throughput.json.
-# Sized to finish in well under a minute on one core.
+# Short throughput run into benchmarks/latest (never committed; bless
+# a snapshot as the baseline only through bench-promote). Sized to
+# finish in well under a minute on one core.
 bench-smoke:
-	$(GO) run ./cmd/ldisexp -accesses 200000 -throughput BENCH_throughput.json \
+	mkdir -p benchmarks/latest
+	$(GO) run ./cmd/ldisexp -accesses 200000 -throughput benchmarks/latest/BENCH_throughput.json \
 		fig6 fig7 fig8 table5 partition > /dev/null
-	@tail -n +2 BENCH_throughput.json | head -n 12
+	@tail -n +2 benchmarks/latest/BENCH_throughput.json | head -n 12
+
+# Repository benchmark correctness: perfbench's own tests, then one
+# short sweep pass, which exits 1 if any experiment's rendered tables
+# stop matching their committed digests.
+perfbench-smoke:
+	$(GO) -C perfbench test ./...
+	bash perfbench/run.sh --workload sweep --seed 1 --seconds 1 --trace 0
 
 # CPU + heap profiles of the headline experiment, written to ./profiles.
 profile:

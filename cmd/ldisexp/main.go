@@ -49,8 +49,8 @@ func main() {
 	faultSeed := flag.Uint64("fault-seed", 0, "chaos testing: deterministically panic a seeded subset of cells (0 = off)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	throughput := flag.String("throughput", "", "measure simulated accesses/sec per experiment and write a JSON report to this file (e.g. BENCH_throughput.json)")
-	benchRepeats := flag.Int("bench-repeats", 3, "with -throughput: run each experiment this many times and report the median simulate time, damping scheduler noise")
+	throughput := flag.String("throughput", "", "measure simulated accesses per wall-clock second per experiment and write a JSON report to this file (e.g. benchmarks/latest/BENCH_throughput.json)")
+	benchRepeats := flag.Int("bench-repeats", 3, "with -throughput: run each experiment this many times and report the repeat with the median wall time, damping scheduler noise")
 	mrcFlag := flag.String("mrc", "", "mrc experiment knobs, comma-separated key=value items: "+mrcGroup.usage())
 	partitionFlag := flag.String("partition", "", "partition experiment knobs, comma-separated key=value items: "+partitionGroup.usage())
 	orgsFlag := flag.String("orgs", "", "orgs experiment knobs, comma-separated key=value items: "+orgsGroup.usage())
@@ -290,15 +290,14 @@ func main() {
 			report.Total.SimAccesses += e.SimAccesses
 			report.Total.Seconds += e.Seconds
 			report.Total.DecodeSeconds += e.DecodeSeconds
-			report.Total.SimSeconds += e.SimSeconds
 		}
 		fmt.Printf("[%s done in %v]\n\n", id, elapsed.Round(time.Millisecond))
 	}
 	emitManifest()
 	if *throughput != "" {
 		report.Total.ID = "total"
-		if report.Total.SimSeconds > 0 {
-			report.Total.AccessesPerSec = float64(report.Total.SimAccesses) / report.Total.SimSeconds
+		if report.Total.Seconds > 0 {
+			report.Total.AccessesPerSec = float64(report.Total.SimAccesses) / report.Total.Seconds
 		}
 		data, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
@@ -319,26 +318,15 @@ func main() {
 	}
 }
 
-// timing is one repeat's wall and decode time.
+// timing is one repeat's wall time and its record-production time.
 type timing struct{ wall, decode float64 }
 
-// sim returns the simulate-only time: wall minus record generation.
-// The bench targets pin -parallel 1, where the decode counter (a CPU
-// sum across workers) equals its wall share; at higher worker counts
-// the subtraction over-corrects, so fall back to wall time if it goes
-// nonpositive.
-func (t timing) sim() float64 {
-	if s := t.wall - t.decode; s > 0 {
-		return s
-	}
-	return t.wall
-}
-
 // measureRepeats turns one completed (already timed) run plus repeats-1
-// silent re-runs into the experiment's throughput entry, reporting the
-// repeat with the median simulate time. Re-runs disable observability
-// and checkpointing so they time pure simulation and leave the first
-// run's manifest and checkpoint untouched.
+// silent re-runs into the experiment's throughput entry: simulated
+// accesses over the wall time of the repeat with the median wall time.
+// Re-runs disable observability and checkpointing so they time pure
+// simulation and leave the first run's manifest and checkpoint
+// untouched.
 func measureRepeats(id string, o exp.Options, repeats int, first timing) benchgate.Entry {
 	accesses := exp.SimAccesses()
 	times := []timing{first}
@@ -359,17 +347,16 @@ func measureRepeats(id string, o exp.Options, repeats int, first timing) benchga
 			wall: time.Since(start).Seconds(), decode: float64(exp.DecodeNanos()) / 1e9,
 		})
 	}
-	sort.Slice(times, func(i, j int) bool { return times[i].sim() < times[j].sim() })
+	sort.Slice(times, func(i, j int) bool { return times[i].wall < times[j].wall })
 	med := times[len(times)/2]
 	e := benchgate.Entry{
 		ID:            id,
 		SimAccesses:   accesses,
 		Seconds:       med.wall,
 		DecodeSeconds: med.decode,
-		SimSeconds:    med.sim(),
 	}
-	if e.SimSeconds > 0 {
-		e.AccessesPerSec = float64(e.SimAccesses) / e.SimSeconds
+	if e.Seconds > 0 {
+		e.AccessesPerSec = float64(e.SimAccesses) / e.Seconds
 	}
 	return e
 }

@@ -15,28 +15,25 @@ import (
 	"strings"
 )
 
-// Entry is one experiment's throughput measurement. Seconds is wall
-// time; DecodeSeconds the portion spent generating records (summed
-// across workers); SimSeconds the simulate-only time the throughput
-// figure is computed from (the median across -bench-repeats runs).
+// Entry is one experiment's throughput measurement. Seconds is the
+// wall time of the repeat with the median wall time, and
+// AccessesPerSec is SimAccesses over it — the same definition as the
+// repository benchmark's sim_accesses_per_s. DecodeSeconds is the
+// record-production time inside that repeat, summed across workers;
+// it is reported for context and never subtracted.
 type Entry struct {
 	ID             string  `json:"id"`
 	SimAccesses    uint64  `json:"sim_accesses"`
 	Seconds        float64 `json:"seconds"`
 	DecodeSeconds  float64 `json:"decode_seconds"`
-	SimSeconds     float64 `json:"sim_seconds"`
 	AccessesPerSec float64 `json:"accesses_per_sec"`
 }
 
 // Rate returns the entry's throughput figure, preferring the stored
-// accesses_per_sec and falling back to recomputing it, so reports
-// predating the sim_seconds split still compare.
+// accesses_per_sec and falling back to recomputing it from wall time.
 func (e Entry) Rate() float64 {
 	if e.AccessesPerSec > 0 {
 		return e.AccessesPerSec
-	}
-	if e.SimSeconds > 0 {
-		return float64(e.SimAccesses) / e.SimSeconds
 	}
 	if e.Seconds > 0 {
 		return float64(e.SimAccesses) / e.Seconds

@@ -84,15 +84,14 @@ func TestCompareMissingExperiment(t *testing.T) {
 	}
 }
 
-// Rate must fall back for reports predating the sim_seconds split.
+// Rate must fall back to wall time when accesses_per_sec is absent.
 func TestEntryRateFallbacks(t *testing.T) {
 	cases := []struct {
 		name string
 		e    Entry
 		want float64
 	}{
-		{"stored", Entry{AccessesPerSec: 42, SimAccesses: 10, SimSeconds: 1}, 42},
-		{"sim-seconds", Entry{SimAccesses: 100, SimSeconds: 2, Seconds: 4}, 50},
+		{"stored", Entry{AccessesPerSec: 42, SimAccesses: 10, Seconds: 1}, 42},
 		{"wall-seconds", Entry{SimAccesses: 100, Seconds: 4}, 25},
 		{"empty", Entry{}, 0},
 	}

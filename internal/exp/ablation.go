@@ -25,7 +25,7 @@ func AblationWOCWays(o Options) ([]*stats.Table, error) {
 	}
 	t := stats.NewTable("Ablation: WOC way count (MPKI, 1MB 8-way total)",
 		"benchmark", "baseline", "1 WOC way", "2 WOC ways", "3 WOC ways", "4 WOC ways")
-	names, rows, err := runGrid(o, 5, func(prof *workload.Profile, col int, co *obs.Cell) (float64, error) {
+	names, rows, err := runGrid(o, 5, func(prof *benchmark, col int, co *obs.Cell) (float64, error) {
 		if col == 0 {
 			base, _ := baselineMPKI(prof, o, co)
 			return base.MPKI(), nil
@@ -50,7 +50,7 @@ func AblationThreshold(o Options) ([]*stats.Table, error) {
 	}
 	t := stats.NewTable("Ablation: distillation threshold K (MPKI, no reverter)",
 		"benchmark", "K=1", "K=2", "K=4", "K=8", "median")
-	names, rows, err := runGrid(o, 5, func(prof *workload.Profile, col int, co *obs.Cell) (float64, error) {
+	names, rows, err := runGrid(o, 5, func(prof *benchmark, col int, co *obs.Cell) (float64, error) {
 		var cfg distill.Config
 		if col < 4 {
 			cfg = ldisBase(2, prof.Seed)
@@ -78,7 +78,7 @@ func AblationVictim(o Options) ([]*stats.Table, error) {
 	}
 	t := stats.NewTable("Ablation: distillation vs full-line victim buffer (MPKI)",
 		"benchmark", "baseline", "distill (LDIS-MT-RC)", "victim buffer")
-	names, rows, err := runGrid(o, 3, func(prof *workload.Profile, col int, co *obs.Cell) (float64, error) {
+	names, rows, err := runGrid(o, 3, func(prof *benchmark, col int, co *obs.Cell) (float64, error) {
 		switch col {
 		case 0:
 			base, _ := baselineMPKI(prof, o, co)
@@ -110,7 +110,7 @@ func AblationPrefetch(o Options) ([]*stats.Table, error) {
 	}
 	t := stats.NewTable("Ablation: next-line prefetching composed with LDIS (MPKI)",
 		"benchmark", "baseline", "baseline+pf2", "distill", "distill+pf2")
-	names, rows, err := runGrid(o, 4, func(prof *workload.Profile, col int, co *obs.Cell) (float64, error) {
+	names, rows, err := runGrid(o, 4, func(prof *benchmark, col int, co *obs.Cell) (float64, error) {
 		var l2 hierarchy.L2
 		switch col {
 		case 0:
@@ -152,7 +152,7 @@ func AblationLeaderSets(o Options) ([]*stats.Table, error) {
 	leaderCounts := []int{8, 32, 128}
 	t := stats.NewTable("Ablation: reverter leader-set count (MPKI)",
 		"benchmark", "baseline", "8 leaders", "32 leaders", "128 leaders")
-	names, rows, err := runGrid(o, 1+len(leaderCounts), func(prof *workload.Profile, col int, co *obs.Cell) (float64, error) {
+	names, rows, err := runGrid(o, 1+len(leaderCounts), func(prof *benchmark, col int, co *obs.Cell) (float64, error) {
 		if col == 0 {
 			base, _ := baselineMPKI(prof, o, co)
 			return base.MPKI(), nil
@@ -212,7 +212,7 @@ func AblationTraffic(o Options) ([]*stats.Table, error) {
 		"benchmark", "base fills", "base wbs", "distill fills", "distill wbs", "traffic delta %")
 	// A cell returns {fills, writebacks} per kilo-instruction for its
 	// configuration; the delta is assembled afterwards.
-	names, rows, err := runGrid(o, 2, func(prof *workload.Profile, col int, co *obs.Cell) ([2]float64, error) {
+	names, rows, err := runGrid(o, 2, func(prof *benchmark, col int, co *obs.Cell) ([2]float64, error) {
 		if col == 0 {
 			sysB, cb := tradSystem(cache.Config{Name: "base-1MB", SizeBytes: 1 << 20, Ways: 8}, co)
 			countSimAccesses(sysB.Run(prof.Stream(), o.Accesses))

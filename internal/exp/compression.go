@@ -7,7 +7,6 @@ import (
 	"ldis/internal/mem"
 	"ldis/internal/obs"
 	"ldis/internal/stats"
-	"ldis/internal/workload"
 )
 
 // Fig10Row is one benchmark's compressibility distribution (paper
@@ -27,7 +26,7 @@ func Fig10(o Options) ([]Fig10Row, error) {
 		return nil, err
 	}
 	const samples = 5
-	_, rows, err := mapBenchmarks(o, func(prof *workload.Profile, co *obs.Cell) (Fig10Row, error) {
+	_, rows, err := mapBenchmarks(o, func(prof *benchmark, co *obs.Cell) (Fig10Row, error) {
 		vals := prof.Values()
 		sys, c := tradSystem(cache.Config{Name: "base-1MB", SizeBytes: 1 << 20, Ways: 8}, co)
 		st := prof.Stream()
@@ -95,7 +94,7 @@ func Fig11(o Options) ([]Fig11Row, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	names, grid, err := runGrid(o, 5, func(prof *workload.Profile, col int, co *obs.Cell) (float64, error) {
+	names, grid, err := runGrid(o, 5, func(prof *benchmark, col int, co *obs.Cell) (float64, error) {
 		switch col {
 		case 0:
 			base, _ := baselineMPKI(prof, o, co)

@@ -353,9 +353,8 @@ func ldisMTRC(wocWays int, seed uint64) distill.Config {
 
 // timedStream wraps a cell's record stream so every NextBatch refill is
 // charged to the cell's decode span and the package-wide decode-time
-// counter: manifests report record generation separately from
-// simulation, and -throughput mode subtracts it from the simulate
-// figure.
+// counter: manifests report record production separately from
+// simulation.
 type timedStream struct {
 	bs trace.BatchStream
 	sp *obs.Spans
@@ -370,41 +369,63 @@ func (t *timedStream) NextBatch(dst []trace.Record) int {
 	return n
 }
 
-// cellStream builds the timed batch stream for one cell.
-func cellStream(prof *workload.Profile, co *obs.Cell) *timedStream {
+// cellStream builds the timed batch stream for one cell, reading the
+// row's shared trace when it has one.
+func cellStream(prof *benchmark, co *obs.Cell) *timedStream {
 	return &timedStream{bs: trace.Batched(prof.Stream()), sp: co.Spans()}
 }
 
-// driveBatches feeds up to n records from bs into sys in buf-sized
-// blocks, returning the count actually driven (short on stream end).
-func driveBatches(sys *hierarchy.System, bs trace.BatchStream, n int, buf []trace.Record) int {
+// blockSource yields a cell's records block by block: each call
+// returns the next want records, fewer only when the trace ends.
+type blockSource func(want int) []trace.Record
+
+// cellBlocks returns the cell's block source. A shared row yields
+// zero-copy sub-slices of its trace; otherwise blocks are refilled
+// from the cell's own timed stream. Either way each block is one
+// decode span, so manifests do not depend on whether a row was shared.
+func cellBlocks(prof *benchmark, o Options, co *obs.Cell) blockSource {
+	if recs := prof.shared(); recs != nil {
+		sp := co.Spans()
+		return func(want int) []trace.Record {
+			tok := sp.Begin(obs.StageDecode)
+			want = min(want, len(recs))
+			blk := recs[:want]
+			recs = recs[want:]
+			sp.End(obs.StageDecode, tok)
+			return blk
+		}
+	}
+	bs := cellStream(prof, co)
+	buf := make([]trace.Record, o.batchSize())
+	return func(want int) []trace.Record { return buf[:bs.NextBatch(buf[:want])] }
+}
+
+// drive feeds up to n records from next into do in blocks of at most
+// batch records, returning the count fed (short when the trace ends).
+func drive(next blockSource, batch, n int, do func([]trace.Record)) int {
 	done := 0
 	for done < n {
-		want := len(buf)
-		if want > n-done {
-			want = n - done
-		}
-		got := bs.NextBatch(buf[:want])
-		sys.DoBatch(buf[:got])
-		done += got
-		if got < want {
+		want := min(batch, n-done)
+		blk := next(want)
+		do(blk)
+		done += len(blk)
+		if len(blk) < want {
 			break
 		}
 	}
 	return done
 }
 
-// runWindowed drives a profile through a system with warmup, returning
-// the measurement window. The drive is batched: records flow in
-// o.batchSize() blocks from the stream into System.DoBatch, with the
-// same block schedule — ceil(warmup/B) then ceil(measure/B) refills —
-// as the sharded path, so manifests agree on span counts either way.
-func runWindowed(sys *hierarchy.System, prof *workload.Profile, o Options, co *obs.Cell) *hierarchy.Window {
-	bs := cellStream(prof, co)
-	buf := make([]trace.Record, o.batchSize())
-	n := driveBatches(sys, bs, o.warmup(), buf)
+// runWindowed drives a benchmark through a system with warmup,
+// returning the measurement window. Records flow in o.batchSize()
+// blocks into System.DoBatch with the same block schedule —
+// ceil(warmup/B) then ceil(measure/B) blocks — as the sharded path, so
+// manifests agree on span counts either way.
+func runWindowed(sys *hierarchy.System, prof *benchmark, o Options, co *obs.Cell) *hierarchy.Window {
+	next := cellBlocks(prof, o, co)
+	n := drive(next, o.batchSize(), o.warmup(), sys.DoBatch)
 	w := sys.StartWindow()
-	n += driveBatches(sys, bs, o.measure(), buf)
+	n += drive(next, o.batchSize(), o.measure(), sys.DoBatch)
 	countSimAccesses(n)
 	return w
 }
@@ -414,7 +435,7 @@ func runWindowed(sys *hierarchy.System, prof *workload.Profile, o Options, co *o
 // always shard-exact, so the sharded result is byte-identical to the
 // sequential one; it returns the measurement-window totals and the
 // (merged) cache.
-func runTradWindowed(cfg cache.Config, prof *workload.Profile, o Options, co *obs.Cell) (hierarchy.WindowTotals, *cache.Cache) {
+func runTradWindowed(cfg cache.Config, prof *benchmark, o Options, co *obs.Cell) (hierarchy.WindowTotals, *cache.Cache) {
 	if o.shards() == 1 {
 		sys, c := tradSystem(cfg, co)
 		return runWindowed(sys, prof, o, co).Totals(), c
@@ -451,7 +472,7 @@ func distillSystem(cfg distill.Config, co *obs.Cell) (*hierarchy.System, *distil
 
 // baselineMPKI runs the 1MB 8-way baseline (sharded when o.Shards asks
 // for it) and returns the measurement-window totals.
-func baselineMPKI(prof *workload.Profile, o Options, co *obs.Cell) (hierarchy.WindowTotals, *cache.Cache) {
+func baselineMPKI(prof *benchmark, o Options, co *obs.Cell) (hierarchy.WindowTotals, *cache.Cache) {
 	return runTradWindowed(cache.Config{Name: "base-1MB", SizeBytes: 1 << 20, Ways: 8}, prof, o, co)
 }
 

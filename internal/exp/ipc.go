@@ -5,7 +5,6 @@ import (
 	"ldis/internal/cpu"
 	"ldis/internal/obs"
 	"ldis/internal/stats"
-	"ldis/internal/workload"
 )
 
 // Fig9Row is one benchmark's IPC under the baseline and the distill
@@ -24,15 +23,15 @@ func Fig9(o Options) ([]Fig9Row, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	names, grid, err := runGrid(o, 2, func(prof *workload.Profile, col int, co *obs.Cell) (float64, error) {
+	names, grid, err := runGrid(o, 2, func(prof *benchmark, col int, co *obs.Cell) (float64, error) {
 		if col == 0 {
 			sysB, _ := tradSystem(cache.Config{Name: "base-1MB", SizeBytes: 1 << 20, Ways: 8}, co)
-			r := cpu.New(cpu.DefaultConfig()).Run(sysB, prof, prof.Stream(), o.Accesses)
+			r := cpu.New(cpu.DefaultConfig()).Run(sysB, prof.Profile, prof.Stream(), o.Accesses)
 			countSimAccesses(o.Accesses)
 			return r.IPC(), nil
 		}
 		sysD, _ := distillSystem(ldisMTRC(2, prof.Seed), co)
-		r := cpu.New(cpu.DistillConfig()).Run(sysD, prof, prof.Stream(), o.Accesses)
+		r := cpu.New(cpu.DistillConfig()).Run(sysD, prof.Profile, prof.Stream(), o.Accesses)
 		countSimAccesses(o.Accesses)
 		return r.IPC(), nil
 	})

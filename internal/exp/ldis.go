@@ -7,7 +7,6 @@ import (
 	"ldis/internal/distill"
 	"ldis/internal/obs"
 	"ldis/internal/stats"
-	"ldis/internal/workload"
 )
 
 // Fig6Row is one benchmark's MPKI reduction under the three LDIS
@@ -24,7 +23,7 @@ func Fig6(o Options) ([]Fig6Row, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	names, grid, err := runGrid(o, 4, func(prof *workload.Profile, col int, co *obs.Cell) (float64, error) {
+	names, grid, err := runGrid(o, 4, func(prof *benchmark, col int, co *obs.Cell) (float64, error) {
 		if col == 0 {
 			base, _ := baselineMPKI(prof, o, co)
 			return base.MPKI(), nil
@@ -125,7 +124,7 @@ func Fig7(o Options) ([]Fig7Row, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	names, grid, err := runGrid(o, 2, func(prof *workload.Profile, col int, co *obs.Cell) ([5]float64, error) {
+	names, grid, err := runGrid(o, 2, func(prof *benchmark, col int, co *obs.Cell) ([5]float64, error) {
 		var cell [5]float64
 		if col == 0 {
 			_, cb := runTradWindowed(cache.Config{Name: "base-1MB", SizeBytes: 1 << 20, Ways: 8}, prof, o, co)
@@ -185,7 +184,7 @@ func Fig8(o Options) ([]Fig8Row, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	names, grid, err := runGrid(o, 4, func(prof *workload.Profile, col int, co *obs.Cell) (float64, error) {
+	names, grid, err := runGrid(o, 4, func(prof *benchmark, col int, co *obs.Cell) (float64, error) {
 		switch col {
 		case 0:
 			base, _ := baselineMPKI(prof, o, co)
@@ -243,7 +242,7 @@ func Table5(o Options) ([]Table5Row, error) {
 		o.Benchmarks = []string{"equake", "lucas", "mgrid", "applu", "mesa", "crafty", "gap",
 			"gzip", "fma3d", "perlbmk", "eon"}
 	}
-	names, grid, err := runGrid(o, 4, func(prof *workload.Profile, col int, co *obs.Cell) (float64, error) {
+	names, grid, err := runGrid(o, 4, func(prof *benchmark, col int, co *obs.Cell) (float64, error) {
 		switch col {
 		case 0:
 			base, _ := baselineMPKI(prof, o, co)

@@ -7,7 +7,7 @@ import (
 	"ldis/internal/mem"
 	"ldis/internal/obs"
 	"ldis/internal/stats"
-	"ldis/internal/workload"
+	"ldis/internal/trace"
 )
 
 // Fig1Row is one benchmark's words-used distribution in the baseline
@@ -25,7 +25,7 @@ func Fig1(o Options) ([]Fig1Row, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	_, rows, err := mapBenchmarks(o, func(prof *workload.Profile, co *obs.Cell) (Fig1Row, error) {
+	_, rows, err := mapBenchmarks(o, func(prof *benchmark, co *obs.Cell) (Fig1Row, error) {
 		_, c := baselineMPKI(prof, o, co)
 		h := c.Stats().WordsUsedAtEvict
 		row := Fig1Row{Benchmark: prof.Name, Mean: h.Mean()}
@@ -72,7 +72,7 @@ func Fig2(o Options) ([]Fig2Row, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	_, rows, err := mapBenchmarks(o, func(prof *workload.Profile, co *obs.Cell) (Fig2Row, error) {
+	_, rows, err := mapBenchmarks(o, func(prof *benchmark, co *obs.Cell) (Fig2Row, error) {
 		_, c := baselineMPKI(prof, o, co)
 		h := c.Stats().FPChangePos
 		row := Fig2Row{Benchmark: prof.Name}
@@ -120,13 +120,16 @@ func Table2(o Options) ([]Table2Row, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	_, rows, err := mapBenchmarks(o, func(prof *workload.Profile, co *obs.Cell) (Table2Row, error) {
+	_, rows, err := mapBenchmarks(o, func(prof *benchmark, co *obs.Cell) (Table2Row, error) {
 		sys, _ := tradSystem(cache.Config{Name: "base-1MB", SizeBytes: 1 << 20, Ways: 8}, co)
 		w := runWindowed(sys, prof, o, co)
 		comp := 0.0
 		if m := sys.L2.Misses(); m > 0 {
 			// Compulsory fraction over the whole run, as the paper does.
-			comp = 100 * float64(sys.CompulsoryMisses) / float64(m)
+			// In a traditional hierarchy a line's first touch misses
+			// both L1 and L2 and later misses are not compulsory, so
+			// the compulsory count is the run's distinct-line count.
+			comp = 100 * float64(distinctLines(prof.Stream(), o.Accesses)) / float64(m)
 		}
 		return Table2Row{
 			Benchmark:     prof.Name,
@@ -136,6 +139,20 @@ func Table2(o Options) ([]Table2Row, error) {
 		}, nil
 	})
 	return rows, err
+}
+
+// distinctLines counts the distinct cache lines among the first n
+// records of st.
+func distinctLines(st trace.Stream, n int) int {
+	seen := make(map[mem.LineAddr]struct{})
+	for i := 0; i < n; i++ {
+		a, ok := st.Next()
+		if !ok {
+			break
+		}
+		seen[a.Line()] = struct{}{}
+	}
+	return len(seen)
 }
 
 func table2Table(rows []Table2Row) *stats.Table {
@@ -164,7 +181,7 @@ func Table6(o Options) ([]Table6Row, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	names, grid, err := runGrid(o, len(Table6Sizes), func(prof *workload.Profile, col int, co *obs.Cell) (float64, error) {
+	names, grid, err := runGrid(o, len(Table6Sizes), func(prof *benchmark, col int, co *obs.Cell) (float64, error) {
 		sz := Table6Sizes[col]
 		sys, c := tradSystem(baselineConfig(fmt.Sprintf("base-%.2fMB", sz), sz), co)
 		runWindowed(sys, prof, o, co)

@@ -6,8 +6,6 @@ import (
 	"ldis/internal/mrc"
 	"ldis/internal/obs"
 	"ldis/internal/stats"
-	"ldis/internal/trace"
-	"ldis/internal/workload"
 )
 
 // The mrc experiment builds whole miss-ratio curves in one trace pass
@@ -43,7 +41,7 @@ func MRC(o Options) ([]MRCResult, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	names, grid, err := runGrid(o, 2, func(prof *workload.Profile, col int, co *obs.Cell) (mrcCell, error) {
+	names, grid, err := runGrid(o, 2, func(prof *benchmark, col int, co *obs.Cell) (mrcCell, error) {
 		cfg := mrc.Config{
 			MaxBytes:        o.mrcMaxBytes(),
 			ResolutionBytes: o.mrcResolution(),
@@ -60,26 +58,10 @@ func MRC(o Options) ([]MRCResult, error) {
 		if err != nil {
 			return mrcCell{}, err
 		}
-		bs := cellStream(prof, co)
-		buf := make([]trace.Record, o.batchSize())
-		drive := func(n int) {
-			done := 0
-			for done < n {
-				want := len(buf)
-				if want > n-done {
-					want = n - done
-				}
-				got := bs.NextBatch(buf[:want])
-				eng.AccessBatch(buf[:got])
-				done += got
-				if got < want {
-					return
-				}
-			}
-		}
-		drive(o.warmup())
+		next := cellBlocks(prof, o, co)
+		drive(next, o.batchSize(), o.warmup(), eng.AccessBatch)
 		eng.ResetCounts()
-		drive(o.measure())
+		drive(next, o.batchSize(), o.measure(), eng.AccessBatch)
 		countSimAccesses(o.Accesses)
 		return mrcCell{
 			Line: eng.LineCurve("line " + label),

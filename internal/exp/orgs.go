@@ -10,7 +10,6 @@ import (
 	"ldis/internal/obs"
 	"ldis/internal/stats"
 	"ldis/internal/wordstore"
-	"ldis/internal/workload"
 )
 
 // The orgs experiment places the three related-work organization
@@ -70,7 +69,7 @@ func orgDistill(name string, seed uint64) distill.Config {
 // statistics (shard-owned counters sum to exactly the sequential
 // values, so the memo accounting is byte-identical at any shard
 // count).
-func runOrgTrad(cfg cache.Config, prof *workload.Profile, o Options, co *obs.Cell) (hierarchy.WindowTotals, cache.Stats) {
+func runOrgTrad(cfg cache.Config, prof *benchmark, o Options, co *obs.Cell) (hierarchy.WindowTotals, cache.Stats) {
 	if o.shards() == 1 {
 		sys, c := tradSystem(cfg, co)
 		w := runWindowed(sys, prof, o, co)
@@ -96,7 +95,7 @@ func runOrgTrad(cfg cache.Config, prof *workload.Profile, o Options, co *obs.Cel
 // runOrgGrid is the orgs experiment's cell scheduler: a named wrapper
 // over runGrid so the gridpure analyzer covers the orgs cells exactly
 // like every other experiment's.
-func runOrgGrid(o Options, cols int, fn func(prof *workload.Profile, col int, co *obs.Cell) (orgCell, error)) ([]string, [][]orgCell, error) {
+func runOrgGrid(o Options, cols int, fn func(prof *benchmark, col int, co *obs.Cell) (orgCell, error)) ([]string, [][]orgCell, error) {
 	return runGrid(o, cols, fn)
 }
 
@@ -111,7 +110,7 @@ func Orgs(o Options) ([]OrgsRow, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	names, grid, err := runOrgGrid(o, len(orgColumns), func(prof *workload.Profile, col int, co *obs.Cell) (orgCell, error) {
+	names, grid, err := runOrgGrid(o, len(orgColumns), func(prof *benchmark, col int, co *obs.Cell) (orgCell, error) {
 		return orgCellRun(o, prof, col, co)
 	})
 	if err != nil {
@@ -125,7 +124,7 @@ func Orgs(o Options) ([]OrgsRow, error) {
 }
 
 // orgCellRun simulates one cell.
-func orgCellRun(o Options, prof *workload.Profile, col int, co *obs.Cell) (orgCell, error) {
+func orgCellRun(o Options, prof *benchmark, col int, co *obs.Cell) (orgCell, error) {
 	cell := orgCell{Org: orgColumns[col]}
 	switch cell.Org {
 	case "base":

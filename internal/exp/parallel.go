@@ -45,18 +45,25 @@ const cellSep = "/"
 // derive all randomness from the profile's seed so results are
 // independent of scheduling.
 //
+// A row's cells share one materialized trace when it fits under
+// rowTraceCap (see rowtrace.go): fn reads it through the benchmark's
+// Stream method and the run helpers (runWindowed, cellBlocks,
+// cellStream).
+//
 // fn's co argument is the cell's observability surface (nil when
 // Options.Obs is nil): fn wires it into the simulator configs it
 // builds, so the cache/distill/mrc counters land on the right
 // (experiment × benchmark × column) coordinates in the manifest.
-func runGrid[T any](o Options, cols int, fn func(prof *workload.Profile, col int, co *obs.Cell) (T, error)) ([]string, [][]T, error) {
-	return runNamedGrid(o, o.benchmarks(), cols, func(row, col int, co *obs.Cell) (T, error) {
-		prof, err := workload.ByName(o.benchmarks()[row])
+func runGrid[T any](o Options, cols int, fn func(prof *benchmark, col int, co *obs.Cell) (T, error)) ([]string, [][]T, error) {
+	names := o.benchmarks()
+	rows := newRowTraces(o, len(names), cols)
+	return runNamedGrid(o, names, cols, rows.finish, func(row, col int, co *obs.Cell) (T, error) {
+		prof, err := workload.ByName(names[row])
 		if err != nil {
 			var zero T
 			return zero, err
 		}
-		return fn(prof, col, co)
+		return fn(&benchmark{Profile: prof, rows: rows, row: row}, col, co)
 	})
 }
 
@@ -68,7 +75,9 @@ func runGrid[T any](o Options, cols int, fn func(prof *workload.Profile, col int
 // injection, checkpoint replay/record keyed (expID, name, col), panic
 // isolation, fail-fast/keep-going row pruning — lives here, so every
 // grid-shaped experiment shares one deterministic fan-out path.
-func runNamedGrid[T any](o Options, names []string, cols int, fn func(row, col int, co *obs.Cell) (T, error)) ([]string, [][]T, error) {
+// done, when non-nil, is called once per cell that ran (replayed,
+// succeeded, or failed after its last retry) with the cell's row.
+func runNamedGrid[T any](o Options, names []string, cols int, done func(row int), fn func(row, col int, co *obs.Cell) (T, error)) ([]string, [][]T, error) {
 	sim := fn
 	cell := func(row, col int, co *obs.Cell) (T, error) {
 		tok := co.Spans().Begin(obs.StageSimulate)
@@ -113,6 +122,9 @@ func runNamedGrid[T any](o Options, names []string, cols int, fn func(row, col i
 
 	o.Obs.Progress().AddTotal(len(names) * cols)
 	p := par.Policy{Retries: o.Retries, FailFast: !o.KeepGoing, Budget: o.FailBudget, Obs: o.Obs.Sched()}
+	if done != nil {
+		p.Done = func(i int) { done(i / cols) }
+	}
 	grid, errs := par.GridPolicy(p, o.Parallel, len(names), cols, func(row, col int) (T, error) {
 		co := o.Obs.StartCell(o.expID, names[row], col)
 		v, err := cell(row, col, co)
@@ -173,8 +185,8 @@ func runNamedGrid[T any](o Options, names []string, cols int, fn func(row, col i
 // for experiments whose unit of work is the whole benchmark (e.g. the
 // Figure 10 content sampling). Like runGrid it returns the surviving
 // benchmark names alongside the results.
-func mapBenchmarks[T any](o Options, fn func(prof *workload.Profile, co *obs.Cell) (T, error)) ([]string, []T, error) {
-	names, grid, err := runGrid(o, 1, func(prof *workload.Profile, _ int, co *obs.Cell) (T, error) {
+func mapBenchmarks[T any](o Options, fn func(prof *benchmark, co *obs.Cell) (T, error)) ([]string, []T, error) {
+	names, grid, err := runGrid(o, 1, func(prof *benchmark, _ int, co *obs.Cell) (T, error) {
 		return fn(prof, co)
 	})
 	if err != nil {
@@ -204,10 +216,10 @@ func ResetSimAccesses() { simAccesses.Store(0) }
 // so timings stay out of simulation logic per the nowallclock rule.
 var decodeClock = obs.SystemClock()
 
-// decodeNanos accumulates time spent refilling record blocks (trace
-// decode / synthetic record generation), across all workers, since the
-// last reset. -throughput mode subtracts it from wall time so the
-// reported accesses/sec measures simulation, not record generation.
+// decodeNanos accumulates time spent producing records — synthetic
+// generation, shared-row fills, and block refills — summed across
+// workers since the last reset. It is reported alongside throughput
+// figures, never subtracted from them.
 var decodeNanos atomic.Int64
 
 func countDecodeNanos(d int64) { decodeNanos.Add(d) }

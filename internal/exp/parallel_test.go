@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"ldis/internal/obs"
-	"ldis/internal/workload"
 )
 
 // renderAll runs an experiment and concatenates its rendered tables,
@@ -59,7 +58,7 @@ func TestParallelDefaultMatchesSequential(t *testing.T) {
 func TestGridErrorPropagates(t *testing.T) {
 	o := Options{Accesses: 1000, Benchmarks: []string{"ammp", "mcf"}, Parallel: 2}
 	boom := errors.New("boom")
-	_, _, err := runGrid(o, 3, func(prof *workload.Profile, col int, _ *obs.Cell) (int, error) {
+	_, _, err := runGrid(o, 3, func(prof *benchmark, col int, _ *obs.Cell) (int, error) {
 		if prof.Name == "mcf" && col == 1 {
 			return 0, boom
 		}

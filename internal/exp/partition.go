@@ -153,7 +153,7 @@ func Partition(o Options) ([]PartitionResult, error) {
 	for i, s := range scens {
 		rowNames[i] = s.Name
 	}
-	names, grid, err := runNamedGrid(o, rowNames, len(policies), func(row, col int, co *obs.Cell) (partitionCell, error) {
+	names, grid, err := runNamedGrid(o, rowNames, len(policies), nil, func(row, col int, co *obs.Cell) (partitionCell, error) {
 		return partitionSim(o, scens[row], policies[col], co)
 	})
 	if err != nil {

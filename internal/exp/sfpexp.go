@@ -6,7 +6,6 @@ import (
 	"ldis/internal/sampler"
 	"ldis/internal/sfp"
 	"ldis/internal/stats"
-	"ldis/internal/workload"
 )
 
 // Fig13Row compares spatial footprint prediction against line
@@ -23,7 +22,7 @@ func Fig13(o Options) ([]Fig13Row, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	names, grid, err := runGrid(o, 4, func(prof *workload.Profile, col int, co *obs.Cell) (float64, error) {
+	names, grid, err := runGrid(o, 4, func(prof *benchmark, col int, co *obs.Cell) (float64, error) {
 		switch col {
 		case 0:
 			base, _ := baselineMPKI(prof, o, co)

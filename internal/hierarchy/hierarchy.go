@@ -78,11 +78,7 @@ type System struct {
 	Classes *stats.Histogram
 	// DemandAccesses counts processor-side references.
 	DemandAccesses uint64 //ldis:shard-owned
-	// CompulsoryMisses counts L2 misses to never-before-touched lines
-	// (the Table 2 "Compulsory Misses" column).
-	CompulsoryMisses uint64 //ldis:shard-owned
 
-	seen     lineSet
 	batchBuf []trace.Record
 }
 
@@ -92,16 +88,10 @@ func NewSystem(l2 L2) *System {
 		L1D:     l1.New(l1.DefaultConfig()),
 		L2:      l2,
 		Classes: stats.NewHistogram("access classes", int(NumClasses)),
-		seen:    newLineSet(),
 	}
 }
 
 // Do performs one processor access end to end and returns its class.
-// The compulsory-miss set is consulted only on L2 misses: lines enter
-// every L2 organization exclusively through this path, so a line's
-// first L2-reaching access always misses and records it — an L2 hit
-// therefore implies the line was already seen, and the hit paths skip
-// the hash probe entirely.
 //
 //ldis:noalloc
 func (s *System) Do(a mem.Access) Class {
@@ -113,9 +103,6 @@ func (s *System) Do(a mem.Access) Class {
 		// bypass the (not separately modelled) L1I and hit the L2.
 		//ldis:alloc-ok interface dispatch into the L2 organization; every implementation is annotated noalloc
 		class, _ := s.L2.AccessInstr(la, a.PC)
-		if class == L2Miss && !s.seen.testAndSet(la) {
-			s.CompulsoryMisses++
-		}
 		s.Classes.Add(int(class))
 		return class
 	}
@@ -135,9 +122,6 @@ func (s *System) Do(a mem.Access) Class {
 	// index plays that role).
 	//ldis:alloc-ok interface dispatch into the L2 organization; every implementation is annotated noalloc
 	class, valid := s.L2.Access(la, word, a.PC, write)
-	if class == L2Miss && !s.seen.testAndSet(la) {
-		s.CompulsoryMisses++
-	}
 	if out == l1.LineMiss {
 		// The line is absent (AccessEvict just said so), so the fill can
 		// skip the presence scan; it may displace a line whose slot was

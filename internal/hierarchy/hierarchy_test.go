@@ -264,16 +264,3 @@ func TestInstructionFetchOtherL2s(t *testing.T) {
 		t.Errorf("sfp warm ifetch = %v", got)
 	}
 }
-
-func TestCompulsoryTracking(t *testing.T) {
-	sys, _ := Baseline("b", 64*8*mem.LineSize, 8)
-	sys.Do(access(0, 0, false, 1))   // compulsory
-	sys.Do(access(0, 1, false, 1))   // L1 hit
-	sys.Do(access(128, 0, false, 1)) // compulsory
-	if sys.CompulsoryMisses != 2 {
-		t.Errorf("compulsory = %d, want 2", sys.CompulsoryMisses)
-	}
-	if sys.L2.Misses() != 2 || sys.L2.Accesses() != 2 {
-		t.Errorf("L2 misses/accesses = %d/%d", sys.L2.Misses(), sys.L2.Accesses())
-	}
-}

@@ -34,7 +34,6 @@ func Shardable(sys *System) bool {
 func (s *System) MergeShard(o *System) {
 	s.Instructions += o.Instructions
 	s.DemandAccesses += o.DemandAccesses
-	s.CompulsoryMisses += o.CompulsoryMisses
 	s.Classes.Merge(o.Classes)
 	s.L1D.Stats().Merge(o.L1D.Stats())
 	if m, ok := s.L2.(shardMerger); ok {

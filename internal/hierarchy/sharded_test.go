@@ -61,11 +61,10 @@ func streamFor(t *testing.T, name string) trace.BatchStream {
 // hierarchy-level totals, the L1D, and the L2 organization's stats.
 func requireSameSystem(t *testing.T, label string, got, want *System) {
 	t.Helper()
-	if got.Instructions != want.Instructions || got.DemandAccesses != want.DemandAccesses ||
-		got.CompulsoryMisses != want.CompulsoryMisses {
-		t.Errorf("%s: system totals = (%d, %d, %d), want (%d, %d, %d)", label,
-			got.Instructions, got.DemandAccesses, got.CompulsoryMisses,
-			want.Instructions, want.DemandAccesses, want.CompulsoryMisses)
+	if got.Instructions != want.Instructions || got.DemandAccesses != want.DemandAccesses {
+		t.Errorf("%s: system totals = (%d, %d), want (%d, %d)", label,
+			got.Instructions, got.DemandAccesses,
+			want.Instructions, want.DemandAccesses)
 	}
 	if !reflect.DeepEqual(got.Classes, want.Classes) {
 		t.Errorf("%s: class histogram diverged", label)

@@ -75,6 +75,11 @@ type Policy struct {
 	// retries, recovered panics, skipped tasks). The hooks are nil-safe
 	// no-ops, so the scheduler never branches on observability.
 	Obs *obs.SchedMetrics
+	// Done, when non-nil, is called exactly once for every task that
+	// ran, after its final attempt (success or failure, however many
+	// retries it took), on the worker that ran it. Skipped tasks never
+	// report.
+	Done func(i int)
 }
 
 // call runs one attempt of fn(i) with a panic boundary.
@@ -154,6 +159,9 @@ func MapPolicy[T any](p Policy, workers, n int, fn func(i int) (T, error)) ([]T,
 					break
 				}
 			}
+		}
+		if p.Done != nil {
+			p.Done(i)
 		}
 		p.Obs.TaskDone()
 	}

@@ -211,6 +211,42 @@ func TestMapPolicyRetriesExhausted(t *testing.T) {
 	}
 }
 
+// TestMapPolicyDone: Done fires exactly once per task that ran — after
+// its final attempt, whether that succeeded, failed, or panicked — and
+// never for skipped tasks.
+func TestMapPolicyDone(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		var tries, done [12]atomic.Int32
+		_, errs := MapPolicy(Policy{Retries: 2, Done: func(i int) { done[i].Add(1) }}, workers, 12, func(i int) (int, error) {
+			n := tries[i].Add(1)
+			switch {
+			case i%4 == 1 && n == 1:
+				return 0, errors.New("transient")
+			case i == 6:
+				panic("always")
+			case i == 7:
+				return 0, errors.New("always")
+			}
+			return i, nil
+		})
+		if len(errs) == 0 || errs[6] == nil || errs[7] == nil {
+			t.Fatalf("workers=%d: permanent failures not reported: %v", workers, errs)
+		}
+		for i := range done {
+			if got := done[i].Load(); got != 1 {
+				t.Errorf("workers=%d: task %d reported done %d times after %d attempts", workers, i, got, tries[i].Load())
+			}
+		}
+	}
+	var done atomic.Int32
+	MapPolicy(Policy{Budget: 1, Done: func(int) { done.Add(1) }}, 1, 10, func(i int) (int, error) {
+		return 0, errors.New("boom")
+	})
+	if got := done.Load(); got != 1 {
+		t.Errorf("budget-stopped run reported %d tasks done, want 1 (the rest were skipped)", got)
+	}
+}
+
 // TestMapPolicyBudget: after Budget failures no further tasks start;
 // the untouched tail is marked skipped (Attempts == 0).
 func TestMapPolicyBudget(t *testing.T) {
