@@ -22,8 +22,8 @@
 # observability registry (internal/obs).
 # `make bench-smoke` writes a short throughput run to benchmarks/latest.
 # `make perfbench-smoke` runs the repository benchmark's own tests and
-# one short sweep pass, which exits nonzero on any output-digest
-# mismatch (see perfbench/README.md).
+# one short sweep pass and one short tenants pass, which exit nonzero
+# on any output-digest mismatch (see perfbench/README.md).
 # `make bench` writes a fresh throughput snapshot to benchmarks/latest;
 # `make bench-gate` fails if it regressed >$(BENCH_TOL) against the
 # committed benchmarks/baseline; `make bench-promote` blesses the
@@ -188,10 +188,13 @@ obs-smoke:
 
 # Partition smoke: the acceptance gate for internal/partition (see
 # DESIGN.md §13). The three gate tests pin the smoke properties on the
-# bundled scenarios; the CLI run exercises the experiment end to end
-# on one custom tenant mix.
+# bundled scenarios; the one-recording-per-row tests pin that each
+# scenario records its curves once and that every policy column's
+# replay leaves the tables on their pinned digest; the package tests
+# include replay-equals-live for every policy. The CLI run exercises
+# the experiment end to end on one custom tenant mix.
 partition-smoke:
-	$(GO) test -run 'TestPartitionUCPBeatsStatic|TestPartitionShardsAgreesWithExact|TestPartitionLDISAwareDiffers' \
+	$(GO) test -run 'TestPartitionUCPBeatsStatic|TestPartitionShardsAgreesWithExact|TestPartitionLDISAwareDiffers|TestPartitionRecordsOncePerRow|TestCurveLogSlotRetriesAfterPanic' \
 		-count=1 ./internal/exp
 	$(GO) test -count=1 ./internal/partition
 	$(GO) run ./cmd/ldisexp -accesses 60000 -partition tenants=twolf+mcf,epoch=6000 partition > /dev/null
@@ -265,11 +268,13 @@ bench-smoke:
 	@tail -n +2 benchmarks/latest/BENCH_throughput.json | head -n 12
 
 # Repository benchmark correctness: perfbench's own tests, then one
-# short sweep pass, which exits 1 if any experiment's rendered tables
-# stop matching their committed digests.
+# short sweep pass and one short tenants (partition) pass, each of
+# which exits 1 if any experiment's rendered tables stop matching
+# their committed digests.
 perfbench-smoke:
 	$(GO) -C perfbench test ./...
 	bash perfbench/run.sh --workload sweep --seed 1 --seconds 1 --trace 0
+	bash perfbench/run.sh --workload tenants --seed 1 --seconds 1 --trace 0
 
 # CPU + heap profiles of the headline experiment, written to ./profiles.
 profile:

@@ -3,6 +3,8 @@ package exp
 import (
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"ldis/internal/cache"
 	"ldis/internal/distill"
@@ -153,8 +155,9 @@ func Partition(o Options) ([]PartitionResult, error) {
 	for i, s := range scens {
 		rowNames[i] = s.Name
 	}
+	curves := make([]curveLogSlot, len(scens))
 	names, grid, err := runNamedGrid(o, rowNames, len(policies), nil, func(row, col int, co *obs.Cell) (partitionCell, error) {
-		return partitionSim(o, scens[row], policies[col], co)
+		return partitionSim(o, scens[row], &curves[row], policies[col], co)
 	})
 	if err != nil {
 		return nil, err
@@ -172,33 +175,65 @@ func Partition(o Options) ([]PartitionResult, error) {
 	return rows, nil
 }
 
-// partitionSim is one cell: the named scenario's tenants interleaved
-// round-robin into one shared cache under the named policy.
-func partitionSim(o Options, scen partitionScenario, policyName string, co *obs.Cell) (partitionCell, error) {
-	n := len(scen.Tenants)
-	profs := make([]*workload.Profile, n)
-	streams := make([]trace.Stream, n)
+// One curve pass per scenario. The controller's curve engines see only
+// the interleaved tenant stream, the seed and the epoch clock — none
+// of which depends on the policy column or on the simulated cache — so
+// a row records its curves once (partition.Recorder) and every column
+// replays them (partition.NewReplayController) while simulating its own
+// cache. The row's first cell to run records, inside the cell function
+// and so after the checkpoint-replay check: fully replayed rows record
+// nothing.
+
+// curveRecordings counts, across all runs since process start, the
+// rows whose curves were recorded: a test hook for the
+// one-recording-per-row guarantee.
+var curveRecordings atomic.Int64
+
+// curveLogSlot is one row's recorded curves. A mutex rather than a
+// sync.Once guards it, so a recording that panics leaves the slot
+// empty and the cell's retry records again.
+type curveLogSlot struct {
+	mu  sync.Mutex
+	log *partition.CurveLog
+}
+
+// get returns the row's curve log, recording it with record on first
+// use.
+func (s *curveLogSlot) get(record func() (*partition.CurveLog, error)) (*partition.CurveLog, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.log == nil {
+		log, err := record()
+		if err != nil {
+			return nil, err
+		}
+		s.log = log
+	}
+	return s.log, nil
+}
+
+// mix derives the scenario's round-robin interleaved tenant stream
+// and its controller configuration, whose seed folds in every tenant's
+// profile seed. The recording pass and every cell derive both here, so
+// a row's recorded curves always come from the stream and
+// configuration its cells replay them against; the cells add their
+// Policy and Obs.
+func (s partitionScenario) mix(o Options) (trace.Stream, partition.Config, error) {
+	streams := make([]trace.Stream, len(s.Tenants))
 	seed := uint64(0x9a2b_71c5)
-	for t, name := range scen.Tenants {
+	for t, name := range s.Tenants {
 		prof, err := workload.ByName(name)
 		if err != nil {
-			return partitionCell{}, err
+			return nil, partition.Config{}, err
 		}
-		profs[t] = prof
 		streams[t] = prof.Stream()
 		seed = seed*0x100000001b3 ^ prof.Seed
 	}
-	policy, ok := partition.ByName(policyName)
-	if !ok {
-		return partitionCell{}, fmt.Errorf("exp: unknown partition policy %q", policyName)
-	}
-
-	ctrl, err := partition.NewController(partition.Config{
-		Tenants:       n,
+	cfg := partition.Config{
+		Tenants:       len(s.Tenants),
 		TotalWays:     partWays,
 		WayBytes:      partWayBytes,
 		EpochAccesses: o.epochAccesses(),
-		Policy:        policy,
 		SampleRate:    partSampleRate,
 		MaxSamples:    o.mrcMaxSamples(),
 		Seed:          seed,
@@ -210,8 +245,74 @@ func partitionSim(o Options, scen partitionScenario, policyName string, co *obs.
 		DecayAlpha:   0.75,
 		Shadow:       true,
 		AccessBudget: o.Accesses,
-		Obs:          co,
+	}
+	return trace.NewInterleave(streams...), cfg, nil
+}
+
+// driveMix feeds the first o.Accesses records of bs to fn block by
+// block, with the global position of each block's first record.
+// Workload profiles are infinite generators, so strict round-robin
+// interleaving never loses a dry stream and a record's global position
+// modulo the tenant count identifies the issuing tenant.
+func driveMix(o Options, bs trace.BatchStream, fn func(pos int, blk []trace.Record)) error {
+	buf := make([]trace.Record, o.batchSize())
+	for done := 0; done < o.Accesses; {
+		want := min(len(buf), o.Accesses-done)
+		got := bs.NextBatch(buf[:want])
+		fn(done, buf[:got])
+		done += got
+		if got < want {
+			return fmt.Errorf("exp: tenant stream ended after %d of %d accesses", done, o.Accesses)
+		}
+	}
+	return nil
+}
+
+// recordCurves is a scenario's recording pass: the controller's
+// engines alone over a fresh interleave of the tenant streams. Its
+// generation is charged to the decode-time counter but to no cell's
+// spans, and its accesses are not simulated ones.
+func recordCurves(o Options, scen partitionScenario) (*partition.CurveLog, error) {
+	src, cfg, err := scen.mix(o)
+	if err != nil {
+		return nil, err
+	}
+	rec, err := partition.NewRecorder(cfg)
+	if err != nil {
+		return nil, err
+	}
+	// A timedStream with no spans: decode time, but no cell's.
+	err = driveMix(o, &timedStream{bs: trace.Batched(src)}, func(pos int, blk []trace.Record) {
+		for i, a := range blk {
+			rec.Observe((pos+i)%cfg.Tenants, a.Line(), a.Word())
+		}
 	})
+	if err != nil {
+		return nil, err
+	}
+	curveRecordings.Add(1)
+	return rec.Finish(), nil
+}
+
+// partitionSim is one cell: the named scenario's tenants interleaved
+// round-robin into one shared cache under the named policy, steered by
+// a controller replaying the row's recorded curves.
+func partitionSim(o Options, scen partitionScenario, curves *curveLogSlot, policyName string, co *obs.Cell) (partitionCell, error) {
+	policy, ok := partition.ByName(policyName)
+	if !ok {
+		return partitionCell{}, fmt.Errorf("exp: unknown partition policy %q", policyName)
+	}
+	log, err := curves.get(func() (*partition.CurveLog, error) { return recordCurves(o, scen) })
+	if err != nil {
+		return partitionCell{}, err
+	}
+	src, cfg, err := scen.mix(o)
+	if err != nil {
+		return partitionCell{}, err
+	}
+	n := cfg.Tenants
+	cfg.Policy, cfg.Obs = policy, co
+	ctrl, err := partition.NewReplayController(cfg, log)
 	if err != nil {
 		return partitionCell{}, err
 	}
@@ -228,7 +329,7 @@ func partitionSim(o Options, scen partitionScenario, policyName string, co *obs.
 	if policyName == "ldis" {
 		dist = distill.New(distill.Config{
 			Name: "ldis-part", SizeBytes: partSizeBytes, Ways: partWays,
-			WOCWays: partWOCWays, Seed: seed,
+			WOCWays: partWOCWays, Seed: cfg.Seed,
 		})
 		locQuota = make([]int, n)
 		wocMask = make([]uint64, n)
@@ -248,29 +349,17 @@ func partitionSim(o Options, scen partitionScenario, policyName string, co *obs.
 	apply()
 
 	cell := partitionCell{Policy: policyName, Tenants: n}
-	bs := trace.Batched(trace.NewInterleave(streams...))
-	buf := make([]trace.Record, o.batchSize())
 	warm := o.warmup()
-	done := 0
-	for done < o.Accesses {
-		want := len(buf)
-		if want > o.Accesses-done {
-			want = o.Accesses - done
-		}
-		got := bs.NextBatch(buf[:want])
-		for i := 0; i < got; i++ {
-			// Workload profiles are infinite generators, so strict
-			// round-robin interleaving never loses a dry stream and the
-			// global position identifies the issuing tenant.
-			tenant := (done + i) % n
-			a := buf[i]
+	err = driveMix(o, &timedStream{bs: trace.Batched(src), sp: co.Spans()}, func(pos int, blk []trace.Record) {
+		for i, a := range blk {
+			tenant := (pos + i) % n
 			var miss bool
 			if conv != nil {
 				miss = !conv.AccessInstallTenant(a.Line(), a.Word(), a.IsWrite(), tenant)
 			} else {
 				miss = dist.AccessTenant(a.Line(), a.Word(), a.IsWrite(), tenant).Outcome.IsMiss()
 			}
-			if done+i >= warm {
+			if pos+i >= warm {
 				cell.Refs[tenant]++
 				if miss {
 					cell.Misses[tenant]++
@@ -280,10 +369,9 @@ func partitionSim(o Options, scen partitionScenario, policyName string, co *obs.
 				apply()
 			}
 		}
-		done += got
-		if got < want {
-			return partitionCell{}, fmt.Errorf("exp: tenant stream ended after %d of %d accesses", done, o.Accesses)
-		}
+	})
+	if err != nil {
+		return partitionCell{}, err
 	}
 	countSimAccesses(o.Accesses)
 

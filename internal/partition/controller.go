@@ -55,7 +55,8 @@ type Config struct {
 	// is salted independently from it.
 	Seed uint64
 	// AccessBudget is the maximum total Observe calls over the
-	// controller's lifetime; it sizes the engines and the decision log.
+	// controller's lifetime; it sizes the engines and the curve and
+	// decision logs.
 	AccessBudget int
 	// Obs, when non-nil, receives the epoch/rebalance counters and the
 	// rebalance span timings for the owning grid cell.
@@ -97,7 +98,9 @@ func (c Config) maxSamples() int {
 	return c.MaxSamples
 }
 
-func (c Config) validate() error {
+// validateCurves checks the fields the curve engines and the epoch
+// clock depend on; validate adds the decider's policy.
+func (c Config) validateCurves() error {
 	if c.Tenants < 2 || c.Tenants > MaxTenants {
 		return fmt.Errorf("partition: %d tenants outside [2, %d]", c.Tenants, MaxTenants)
 	}
@@ -110,14 +113,21 @@ func (c Config) validate() error {
 	if c.EpochAccesses <= 0 {
 		return fmt.Errorf("partition: non-positive epoch length %d", c.EpochAccesses)
 	}
-	if c.Policy == nil {
-		return fmt.Errorf("partition: nil policy")
-	}
 	if c.Hysteresis < 0 || c.DecayAlpha < 0 || c.DecayAlpha > 1 {
 		return fmt.Errorf("partition: hysteresis %g / decay %g out of range", c.Hysteresis, c.DecayAlpha)
 	}
 	if c.AccessBudget <= 0 {
 		return fmt.Errorf("partition: non-positive access budget %d", c.AccessBudget)
+	}
+	return nil
+}
+
+func (c Config) validate() error {
+	if err := c.validateCurves(); err != nil {
+		return err
+	}
+	if c.Policy == nil {
+		return fmt.Errorf("partition: nil policy")
 	}
 	return nil
 }
@@ -153,23 +163,26 @@ type Decision struct {
 	PredictedSaving float64
 }
 
-// Controller drives the epoch loop: Observe feeds tenant accesses
-// through the curve engines; every EpochAccesses accesses it re-runs
-// the policy and, past hysteresis, adopts a new allocation. All state
-// is preallocated at construction — the per-epoch decision path does
-// not allocate (pinned by AllocsPerRun) — and nothing here uses
+// Controller drives the epoch loop: Observe advances the epoch clock,
+// and every EpochAccesses accesses the controller re-runs the policy
+// and, past hysteresis, adopts a new allocation. It is the decider
+// half of the split described in curvelog.go: it reads every epoch's
+// demand vectors from a CurveLog, which a live controller
+// (NewController) fills from its own engines as it goes and a
+// replaying one (NewReplayController) takes pre-recorded. All state is
+// preallocated at construction — the per-epoch decision path does not
+// allocate (pinned by AllocsPerRun) — and nothing here uses
 // goroutines, maps, or the wall clock, so controllers are
 // deterministic at any scheduling.
 type Controller struct {
-	cfg     Config
-	n       int
-	engines []*mrc.Engine // online SHARDS-sampled, one per tenant
-	exact   []*mrc.Engine // shadow exact engines (nil unless Shadow)
+	cfg Config
+	n   int
+	rec *Recorder // live curve engines; nil when replaying
+	log *CurveLog
 
-	alloc     []int // allocation in force
-	epochRefs []float64
-	seen      int
-	epoch     int
+	alloc []int // allocation in force
+	seen  int
+	epoch int
 
 	rebalances   int
 	shadowEpochs int
@@ -178,13 +191,9 @@ type Controller struct {
 
 	decisions []Decision
 
-	// Per-epoch scratch, preallocated: miss-ratio and demand vectors
-	// (length TotalWays+1 each) and proposal slices.
-	lineRatios, wordRatios [][]float64
-	lineDemand, wordDemand [][]float64
-	exactDemand            [][]float64
-	proposed, exactProp    []int
-	lineProp, wordProp     []int
+	// Per-epoch proposal buffers, preallocated.
+	proposed, exactProp []int
+	lineProp, wordProp  []int
 
 	spans         *obs.Spans
 	obsEpochs     *obs.Counter
@@ -192,92 +201,70 @@ type Controller struct {
 	obsAgree      *obs.Counter
 }
 
-// NewController builds a controller with the initial allocation set to
-// the equal split.
+// NewController builds a live controller — one that runs its own curve
+// engines — with the initial allocation set to the equal split.
 func NewController(cfg Config) (*Controller, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	rec, err := NewRecorder(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return newController(cfg, rec, rec.log), nil
+}
+
+// NewReplayController builds a controller that runs no engines: its
+// epoch decisions read the demands a Recorder logged over the same
+// tenant stream. cfg must match the recording's curve configuration
+// (tenants, geometry, epoch length, decay, sampling, seed, Shadow);
+// Policy, MinWays, Hysteresis and Obs are the replay's own. Driven
+// with the recorded stream's Observe sequence, it makes exactly the
+// decisions a live controller with cfg would.
+func NewReplayController(cfg Config, log *CurveLog) (*Controller, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if !log.finished() {
+		return nil, fmt.Errorf("partition: replaying an unfinished curve log")
+	}
+	if log.key != cfg.curveKey() {
+		return nil, fmt.Errorf("partition: curve log recorded under %+v, replayed under %+v", log.key, cfg.curveKey())
+	}
+	return newController(cfg, nil, log), nil
+}
+
+func newController(cfg Config, rec *Recorder, log *CurveLog) *Controller {
 	n := cfg.Tenants
 	c := &Controller{
 		cfg:       cfg,
 		n:         n,
-		engines:   make([]*mrc.Engine, n),
+		rec:       rec,
+		log:       log,
 		alloc:     make([]int, n),
-		epochRefs: make([]float64, n),
-		decisions: make([]Decision, 0, cfg.AccessBudget/cfg.EpochAccesses+2),
+		decisions: make([]Decision, 0, cfg.maxEpochs()),
 		proposed:  make([]int, n),
+		exactProp: make([]int, n),
 		lineProp:  make([]int, n),
 		wordProp:  make([]int, n),
 	}
-	ecfg := mrc.Config{
-		MaxBytes:        cfg.TotalWays * cfg.WayBytes,
-		ResolutionBytes: cfg.WayBytes,
-		SampleRate:      cfg.sampleRate(),
-	}
-	if ecfg.SampleRate < 1 {
-		// Fixed-size SHARDS only applies below rate 1; an exact online
-		// engine (SampleRate ≥ 1, used by tests) takes no sample cap.
-		ecfg.MaxSamples = cfg.maxSamples()
-	}
-	// Engines are sized with the full budget: interleaving usually
-	// splits accesses evenly, but nothing stops one tenant's stream
-	// from dominating, and an undersized Fenwick tree panics.
-	for t := 0; t < n; t++ {
-		ecfg.Seed = cfg.Seed + uint64(t)*0x9e3779b97f4a7c15
-		eng, err := mrc.New(ecfg, cfg.AccessBudget)
-		if err != nil {
-			return nil, err
-		}
-		c.engines[t] = eng
-	}
-	if cfg.Shadow {
-		c.exact = make([]*mrc.Engine, n)
-		xcfg := mrc.Config{MaxBytes: ecfg.MaxBytes, ResolutionBytes: ecfg.ResolutionBytes}
-		for t := 0; t < n; t++ {
-			eng, err := mrc.New(xcfg, cfg.AccessBudget)
-			if err != nil {
-				return nil, err
-			}
-			c.exact[t] = eng
-		}
-		c.exactDemand = makeVectors(n, cfg.TotalWays+1)
-		c.exactProp = make([]int, n)
-	}
-	c.lineRatios = makeVectors(n, cfg.TotalWays+1)
-	c.wordRatios = makeVectors(n, cfg.TotalWays+1)
-	c.lineDemand = makeVectors(n, cfg.TotalWays+1)
-	c.wordDemand = makeVectors(n, cfg.TotalWays+1)
 	equalSplit(cfg.TotalWays, c.alloc)
 	c.spans = cfg.Obs.Spans()
 	c.obsEpochs = cfg.Obs.Counter("partition_epochs")
 	c.obsRebalances = cfg.Obs.Counter("partition_rebalances")
 	c.obsAgree = cfg.Obs.Counter("partition_agree_epochs")
-	return c, nil
+	return c
 }
 
-// makeVectors carves n float64 vectors of the given width out of one
-// backing array.
-func makeVectors(n, width int) [][]float64 {
-	backing := make([]float64, n*width)
-	out := make([][]float64, n)
-	for i := range out {
-		out[i] = backing[i*width : (i+1)*width : (i+1)*width]
-	}
-	return out
-}
-
-// Observe feeds one data access by the given tenant through its curve
-// engines and advances the epoch clock. It returns true when this
-// access closed an epoch whose decision changed the allocation — the
-// caller's cue to re-read Alloc and push new quotas into the enforced
-// caches.
+// Observe feeds one data access by the given tenant through the live
+// curve engines (a replaying controller has none) and advances the
+// epoch clock. It returns true when this access closed an epoch whose
+// decision changed the allocation — the caller's cue to re-read Alloc
+// and push new quotas into the enforced caches.
 func (c *Controller) Observe(tenant int, line mem.LineAddr, word int) bool {
-	c.engines[tenant].Access(line, word)
-	if c.exact != nil {
-		c.exact[tenant].Access(line, word)
+	if c.rec != nil {
+		c.rec.access(tenant, line, word)
 	}
-	c.epochRefs[tenant]++
 	c.seen++
 	if c.seen >= c.cfg.EpochAccesses {
 		return c.endEpoch()
@@ -285,33 +272,28 @@ func (c *Controller) Observe(tenant int, line mem.LineAddr, word int) bool {
 	return false
 }
 
-// endEpoch runs one allocation decision: fill both grains' miss-ratio
-// vectors, scale them by the epoch's per-tenant reference counts into
-// expected-miss demands, run the policy, and adopt its proposal iff it
-// differs and clears the hysteresis band. The shadow engines (when
-// present) re-run the policy on exact curves for the agreement metric,
-// and both engines decay so the next epoch sees a recency-weighted
-// window.
+// endEpoch runs one allocation decision: take the epoch's expected-
+// miss demands from the curve log (closing the live engines' epoch
+// into it first), run the policy, and adopt its proposal iff it
+// differs and clears the hysteresis band. Under Shadow the policy
+// re-runs on the exact demands for the agreement metric.
 func (c *Controller) endEpoch() bool {
 	tok := c.spans.Begin(obs.StageRebalance)
+	if c.rec != nil {
+		c.rec.closeEpoch()
+	}
+	cur := c.log.epochCurves(c.epoch)
 	c.epoch++
 	min := c.cfg.minWays()
-	for t := 0; t < c.n; t++ {
-		c.engines[t].FillLineMissRatios(c.lineRatios[t], c.cfg.WayBytes)
-		c.engines[t].FillWordMissRatios(c.wordRatios[t], c.cfg.WayBytes)
-		refs := c.epochRefs[t]
-		for w := range c.lineDemand[t] {
-			c.lineDemand[t][w] = c.lineRatios[t][w] * refs
-			c.wordDemand[t][w] = c.wordRatios[t][w] * refs
-		}
-	}
-	demands := c.lineDemand
-	if c.cfg.Policy.Grain() == GrainWord {
-		demands = c.wordDemand
+	word := c.cfg.Policy.Grain() == GrainWord
+	lineDemand, wordDemand := cur[onlineLine], cur[onlineWord]
+	demands := lineDemand
+	if word {
+		demands = wordDemand
 	}
 	c.cfg.Policy.Allocate(demands, c.cfg.TotalWays, min, c.proposed)
-	lookahead(c.lineDemand, c.cfg.TotalWays, min, c.lineProp)
-	lookahead(c.wordDemand, c.cfg.TotalWays, min, c.wordProp)
+	lookahead(lineDemand, c.cfg.TotalWays, min, c.lineProp)
+	lookahead(wordDemand, c.cfg.TotalWays, min, c.wordProp)
 
 	keep, move := 0.0, 0.0
 	differs := false
@@ -349,19 +331,12 @@ func (c *Controller) endEpoch() bool {
 		d.Adopted[t] = uint8(c.alloc[t])
 	}
 
-	if c.exact != nil {
-		for t := 0; t < c.n; t++ {
-			if c.cfg.Policy.Grain() == GrainWord {
-				c.exact[t].FillWordMissRatios(c.exactDemand[t], c.cfg.WayBytes)
-			} else {
-				c.exact[t].FillLineMissRatios(c.exactDemand[t], c.cfg.WayBytes)
-			}
-			refs := c.epochRefs[t]
-			for w := range c.exactDemand[t] {
-				c.exactDemand[t][w] *= refs
-			}
+	if c.cfg.Shadow {
+		exactDemand := cur[exactLine]
+		if word {
+			exactDemand = cur[exactWord]
 		}
-		c.cfg.Policy.Allocate(c.exactDemand, c.cfg.TotalWays, min, c.exactProp)
+		c.cfg.Policy.Allocate(exactDemand, c.cfg.TotalWays, min, c.exactProp)
 		agree := true
 		for t := 0; t < c.n; t++ {
 			d.Exact[t] = uint8(c.exactProp[t])
@@ -381,15 +356,6 @@ func (c *Controller) endEpoch() bool {
 		panic("partition: decision log overflow; size Config.AccessBudget with the full trace length")
 	}
 	c.decisions = append(c.decisions, d)
-
-	alpha := c.cfg.decayAlpha()
-	for t := 0; t < c.n; t++ {
-		c.engines[t].DecayCounts(alpha)
-		if c.exact != nil {
-			c.exact[t].DecayCounts(alpha)
-		}
-		c.epochRefs[t] = 0
-	}
 	c.seen = 0
 	c.obsEpochs.Inc()
 	c.spans.End(obs.StageRebalance, tok)
@@ -422,8 +388,12 @@ func (c *Controller) Agreement() (agree, total int) {
 func (c *Controller) GrainDisagreements() int { return c.grainDiffers }
 
 // Curves returns the named line- and word-grain curves of one tenant's
-// online engine (the decayed sliding-window view at the current
-// moment).
+// online engine: the decayed sliding-window view at the current moment
+// for a live controller, the view at the end of the recording for a
+// replaying one.
 func (c *Controller) Curves(tenant int, name string) (line, word mrc.Curve) {
-	return c.engines[tenant].LineCurve(name + " line"), c.engines[tenant].WordCurve(name + " word")
+	if c.rec != nil {
+		return c.rec.curves(tenant, name)
+	}
+	return c.log.curves(tenant, name)
 }

@@ -208,6 +208,11 @@ func TestWayMasksMoreTenantsThanWays(t *testing.T) {
 // (full-line word usage unless words[t] restricts it) for total
 // accesses, round-robin across tenants.
 func drive(c *Controller, lines []int, words []int, total int) {
+	driveFunc(func(t int, line mem.LineAddr, w int) { c.Observe(t, line, w) }, lines, words, total)
+}
+
+// driveFunc is drive for any observer.
+func driveFunc(observe func(int, mem.LineAddr, int), lines []int, words []int, total int) {
 	n := len(lines)
 	pos := make([]int, n)
 	for i := 0; i < total; i++ {
@@ -217,7 +222,7 @@ func drive(c *Controller, lines []int, words []int, total int) {
 		if words != nil && words[t] > 0 {
 			w = pos[t] % words[t]
 		}
-		c.Observe(t, line, w)
+		observe(t, line, w)
 		pos[t]++
 	}
 }
@@ -385,30 +390,59 @@ func TestConfigValidation(t *testing.T) {
 // TestEpochDecisionAllocs pins the controller's per-epoch decision
 // path: once constructed, a full epoch of Observe calls — including
 // the endEpoch boundary with curve fills, both policy runs, hysteresis
-// and the decision append — performs zero heap allocations.
+// and the decision append — performs zero heap allocations, live or
+// replaying a recorded log.
 func TestEpochDecisionAllocs(t *testing.T) {
 	cfg := testConfig(UCP{})
 	cfg.EpochAccesses = 256
 	cfg.Shadow = true
-	c, err := NewController(cfg)
+	// epoch returns a function feeding observe one epoch of the skewed
+	// two-tenant stream, continuing where the previous call stopped.
+	epoch := func(observe func(int, mem.LineAddr, int)) func() {
+		pos := 0
+		return func() {
+			for i := 0; i < cfg.EpochAccesses; i++ {
+				tn := i % 2
+				lines := 96
+				if tn == 1 {
+					lines = 16
+				}
+				observe(tn, mem.LineAddr(uint64(tn)<<32|uint64(pos%lines)), pos%mem.WordsPerLine)
+				pos++
+			}
+		}
+	}
+	// One warm epoch (engine tables reach steady state) plus
+	// AllocsPerRun's 21 runs.
+	const epochs = 22
+	rec, err := NewRecorder(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm one epoch so the engines' tables reach steady state.
-	drive(c, []int{96, 16}, nil, cfg.EpochAccesses)
-	pos := 0
-	avg := testing.AllocsPerRun(20, func() {
-		for i := 0; i < cfg.EpochAccesses; i++ {
-			tn := i % 2
-			lines := 96
-			if tn == 1 {
-				lines = 16
-			}
-			c.Observe(tn, mem.LineAddr(uint64(tn)<<32|uint64(pos%lines)), pos%mem.WordsPerLine)
-			pos++
+	recEpoch := epoch(rec.Observe)
+	for i := 0; i < epochs; i++ {
+		recEpoch()
+	}
+	live, err := NewController(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay, err := NewReplayController(cfg, rec.Finish())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		c    *Controller
+	}{{"live", live}, {"replayed", replay}} {
+		name, c := tc.name, tc.c
+		run := epoch(func(tn int, line mem.LineAddr, w int) { c.Observe(tn, line, w) })
+		run()
+		if avg := testing.AllocsPerRun(20, run); avg != 0 {
+			t.Errorf("%s epoch decision path allocates %.2f times per epoch, want 0", name, avg)
 		}
-	})
-	if avg != 0 {
-		t.Errorf("epoch decision path allocates %.2f times per epoch, want 0", avg)
+		if c.Epochs() != epochs {
+			t.Errorf("%s controller decided %d epochs, want %d", name, c.Epochs(), epochs)
+		}
 	}
 }

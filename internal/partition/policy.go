@@ -10,7 +10,9 @@
 // adopted allocation is enforced by the cache organizations' victim
 // selection (cache.SetPartition / distill.SetPartition): partitioning
 // constrains replacement, never lookup, matching way-partitioned
-// hardware.
+// hardware. The curves do not depend on the policy, so a Recorder can
+// log them once for a tenant stream and controllers for any number of
+// policies can replay the log (see curvelog.go).
 //
 // Three policies ship behind the Policy interface:
 //
