@@ -56,6 +56,11 @@
 # memo energy never above baseline with identical results — plus the
 # focused unit tests and a short end-to-end ldisexp orgs run (see
 # DESIGN.md §14).
+# `make golden` is the behaviour gate: every registered experiment's
+# rendered tables at 100k accesses must hash to the digests committed
+# in internal/exp/testdata/golden.sha256. `make golden-promote`
+# rewrites that file for an intended behaviour change, so the new
+# digests show in review.
 # `make partition-smoke` validates the partition controller end to end:
 # UCP must not lose to the static equal split on any bundled scenario,
 # the online-SHARDS allocator must agree with exact Mattson within one
@@ -68,7 +73,7 @@ GO ?= go
 .PHONY: all build vet lint lint-vet lint-json lint-fix-check \
 	lint-install test check race test-race microbench bench \
 	bench-gate bench-promote bench-smoke perfbench-smoke chaos fuzz-smoke mrc-smoke \
-	obs-smoke ldisd-smoke partition-smoke orgs-smoke examples govulncheck profile \
+	obs-smoke ldisd-smoke golden golden-promote partition-smoke orgs-smoke examples govulncheck profile \
 	clean
 
 # Allowed fractional slowdown per experiment before bench-gate fails.
@@ -185,6 +190,22 @@ obs-smoke:
 	@grep -q '"stage": "simulate"' obs-smoke-out/manifest.json
 	@rm -rf obs-smoke-out
 	@echo "obs-smoke: manifest verified"
+
+# Golden gate: one SHA-256 per registered experiment's rendered
+# tables at 100k accesses (see internal/exp/golden_test.go).
+golden:
+	$(GO) test -run '^TestGolden$$' -count=1 ./internal/exp
+
+# Rewrite the golden digests from the current code. The test logs each
+# digest line with a "golden: " prefix; the file is only replaced when
+# every experiment rendered.
+golden-promote:
+	$(GO) test -run '^TestGolden$$' -count=1 -v ./internal/exp | \
+		sed -n 's/^.*golden: //p' > internal/exp/testdata/golden.sha256.tmp
+	@test -s internal/exp/testdata/golden.sha256.tmp || \
+		{ rm -f internal/exp/testdata/golden.sha256.tmp; echo "golden-promote: no digests rendered"; exit 1; }
+	mv internal/exp/testdata/golden.sha256.tmp internal/exp/testdata/golden.sha256
+	@echo "golden-promote: digests updated; commit internal/exp/testdata/golden.sha256"
 
 # Partition smoke: the acceptance gate for internal/partition (see
 # DESIGN.md §13). The three gate tests pin the smoke properties on the
