@@ -1,13 +1,13 @@
 // Package cache implements a traditional set-associative cache with LRU
 // replacement — the paper's baseline L2 organization (Table 1) — plus
 // the per-line footprint instrumentation the motivation experiments need
-// (Figures 1 and 2) and an auxiliary tag-directory mode used by the
-// reverter circuit and set-sampling machinery.
+// (Figures 1 and 2) and per-tenant way partitioning (see SetPartition).
 package cache
 
 import (
 	"fmt"
 
+	"ldis/internal/lru"
 	"ldis/internal/mem"
 	"ldis/internal/obs"
 	"ldis/internal/stats"
@@ -57,11 +57,6 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
-
-// MaxPartitionTenants bounds the tenants a partitioned cache can
-// distinguish; way-quota bookkeeping fits fixed stack arrays at this
-// size, keeping the enforcement path allocation-free.
-const MaxPartitionTenants = 8
 
 // Line is one tag entry. MaxFPPos tracks the maximum recency position
 // the line occupied at any access that changed its footprint — the
@@ -126,6 +121,9 @@ type Cache struct {
 	// path: hits are never restricted, matching way-partitioned
 	// hardware, where partitioning constrains replacement, not lookup.
 	quota []int32
+	// owners is the miss path's scratch view of a set for lru.Victim
+	// (allocated with the first partition).
+	owners []uint8
 
 	// Way-memoization state (Config.WayMemo; nil when disabled): one
 	// tag arena of EntriesPerSet slots per set, plus a per-set validity
@@ -158,7 +156,7 @@ func New(cfg Config) *Cache {
 	for n := numSets; n > 1; n >>= 1 {
 		c.tagShift++
 	}
-	// Histograms are allocated eagerly so Access/Install never test for
+	// Histograms are allocated eagerly so the access path never tests for
 	// them on the hot path.
 	c.st.WordsUsedAtEvict = stats.NewHistogram(cfg.Name+" words used", mem.WordsPerLine+1)
 	c.st.FPChangePos = stats.NewHistogram(cfg.Name+" fp-change pos", cfg.Ways)
@@ -190,13 +188,6 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns a pointer to the live statistics.
 func (c *Cache) Stats() *Stats { return &c.st }
 
-// Victim describes a line evicted by an install.
-type Victim struct {
-	Line      mem.LineAddr
-	Dirty     bool
-	Footprint mem.Footprint
-}
-
 // Lookup reports whether the line is present without touching LRU state
 // or stats (used by auxiliary structures and tests).
 func (c *Cache) Lookup(line mem.LineAddr) bool {
@@ -210,14 +201,42 @@ func (c *Cache) Lookup(line mem.LineAddr) bool {
 	return false
 }
 
-// Access performs a demand access for one word of a line. On a hit the
-// line moves to MRU and its footprint is updated; the access counts in
-// the stats. On a miss nothing is installed — callers model the fill
-// with Install, mirroring how the simulated hierarchy overlaps fills
-// with memory latency.
+// promote moves the entry at pos to MRU, shifting the more recent
+// entries down one position.
+func (c *Cache) promote(set []Line, pos int, l Line) {
+	copy(set[1:pos+1], set[0:pos])
+	set[0] = l
+}
+
+// SetPartition installs per-tenant way quotas for AccessInstallTenant.
+// quota[t] is the number of ways tenant t may occupy per set; the sum
+// must not exceed the associativity. A nil or empty quota disables
+// partitioning. Quotas may change at any time (the epoch re-balancer
+// does): lines installed under the old allocation drain out through
+// the over-quota victim rule rather than being flushed.
+func (c *Cache) SetPartition(quota []int) {
+	q, err := lru.Quotas(c.quota, quota, c.cfg.Ways)
+	if err != nil {
+		panic(fmt.Sprintf("cache %q: %v", c.cfg.Name, err))
+	}
+	c.quota = q
+	if q != nil && c.owners == nil {
+		c.owners = make([]uint8, c.cfg.Ways)
+	}
+}
+
+// AccessInstallTenant performs a demand access for one word of a line
+// and installs the line on a miss, walking the set once. A hit moves
+// the line to MRU and updates its footprint; any tenant hits any
+// resident line, and hits never transfer ownership. A miss installs the
+// line as MRU for tenant: without a partition it replaces the LRU way,
+// under the quotas installed by SetPartition it replaces the way
+// lru.Victim picks. The victim's eviction and writeback are counted
+// internally. Unpartitioned callers pass tenant 0. Returns whether the
+// access hit.
 //
 //ldis:noalloc
-func (c *Cache) Access(line mem.LineAddr, word int, write bool) bool {
+func (c *Cache) AccessInstallTenant(line mem.LineAddr, word int, write bool, tenant int) bool {
 	st := &c.st
 	st.Accesses++
 	si := c.setIndexOf(line)
@@ -255,163 +274,17 @@ func (c *Cache) Access(line mem.LineAddr, word int, write bool) bool {
 		return true
 	}
 	st.Misses++
-	return false
-}
-
-// AccessInstall fuses Access with the Install that follows a miss: the
-// lookup scan that proves the line absent doubles as Install's
-// presence check, so the miss path walks the set once instead of
-// twice. Counters and LRU state evolve exactly as Access-then-Install;
-// the victim (unused by the traditional L2, which counts writebacks
-// internally) is not materialized. Returns whether the access hit.
-//
-//ldis:noalloc
-func (c *Cache) AccessInstall(line mem.LineAddr, word int, write bool) bool {
-	st := &c.st
-	st.Accesses++
-	si := c.setIndexOf(line)
-	set := c.sets[si]
-	tag := c.tagOf(line)
-	c.memoLookup(si, tag)
-	// MRU fast path, as in Access.
-	if l := &set[0]; l.Valid && l.Tag == tag {
-		st.Hits++
-		l.Footprint = l.Footprint.Set(word)
-		if write {
-			l.Dirty = true
-		}
-		c.memoRecord(si, tag)
-		return true
-	}
-	for pos := 1; pos < len(set); pos++ {
-		if !set[pos].Valid || set[pos].Tag != tag {
-			continue
-		}
-		st.Hits++
-		l := set[pos]
-		if !l.Footprint.Has(word) {
-			l.Footprint = l.Footprint.Set(word)
-			if uint8(pos) > l.MaxFPPos {
-				l.MaxFPPos = uint8(pos)
-			}
-		}
-		if write {
-			l.Dirty = true
-		}
-		c.promote(set, pos, l)
-		c.memoRecord(si, tag)
-		return true
-	}
-	st.Misses++
 	victimPos := len(set) - 1
-	if v := set[victimPos]; v.Valid {
-		st.Evictions++
-		c.obsEvictions.Inc()
-		st.WordsUsedAtEvict.Add(v.Footprint.Count())
-		st.FPChangePos.Add(int(v.MaxFPPos))
-		if v.Dirty {
-			st.Writebacks++
-			c.obsWritebacks.Inc()
-		}
-		c.memoInvalidate(si, v.Tag)
-	}
-	c.promote(set, victimPos, Line{
-		Valid:     true,
-		Dirty:     write,
-		Tag:       tag,
-		Footprint: mem.FootprintOfWord(word),
-	})
-	c.memoRecord(si, tag)
-	return false
-}
-
-// promote moves the entry at pos to MRU, shifting the more recent
-// entries down one position.
-func (c *Cache) promote(set []Line, pos int, l Line) {
-	copy(set[1:pos+1], set[0:pos])
-	set[0] = l
-}
-
-// SetPartition installs per-tenant way quotas for AccessInstallTenant.
-// quota[t] is the number of ways tenant t may occupy per set; the sum
-// must not exceed the associativity. A nil or empty quota disables
-// partitioning. Quotas may change at any time (the epoch re-balancer
-// does): lines installed under the old allocation drain out through
-// the over-quota victim rule rather than being flushed.
-func (c *Cache) SetPartition(quota []int) {
-	if len(quota) == 0 {
-		c.quota = nil
-		return
-	}
-	if len(quota) > MaxPartitionTenants {
-		panic(fmt.Sprintf("cache %q: %d tenants exceed MaxPartitionTenants", c.cfg.Name, len(quota)))
-	}
-	sum := 0
-	for t, q := range quota {
-		if q < 0 {
-			panic(fmt.Sprintf("cache %q: negative quota %d for tenant %d", c.cfg.Name, q, t))
-		}
-		sum += q
-	}
-	if sum > c.cfg.Ways {
-		panic(fmt.Sprintf("cache %q: quota sum %d exceeds %d ways", c.cfg.Name, sum, c.cfg.Ways))
-	}
-	if c.quota == nil {
-		c.quota = make([]int32, 0, MaxPartitionTenants)
-	}
-	c.quota = c.quota[:0]
-	for _, q := range quota {
-		c.quota = append(c.quota, int32(q))
-	}
-}
-
-// AccessInstallTenant is AccessInstall with way-partition enforcement:
-// the hit path is identical (any tenant hits any resident line), but a
-// miss selects its victim under the quotas installed by SetPartition —
-// a tenant at or over its quota evicts its own LRU-most line, a tenant
-// under it evicts the LRU-most line of an over-quota tenant. Without a
-// partition installed it degenerates to plain LRU.
-//
-//ldis:noalloc
-func (c *Cache) AccessInstallTenant(line mem.LineAddr, word int, write bool, tenant int) bool {
-	st := &c.st
-	st.Accesses++
-	si := c.setIndexOf(line)
-	set := c.sets[si]
-	tag := c.tagOf(line)
-	c.memoLookup(si, tag)
-	// MRU fast path, as in Access. Hits never transfer ownership: the
-	// installing tenant keeps the line against its quota.
-	if l := &set[0]; l.Valid && l.Tag == tag {
-		st.Hits++
-		l.Footprint = l.Footprint.Set(word)
-		if write {
-			l.Dirty = true
-		}
-		c.memoRecord(si, tag)
-		return true
-	}
-	for pos := 1; pos < len(set); pos++ {
-		if !set[pos].Valid || set[pos].Tag != tag {
-			continue
-		}
-		st.Hits++
-		l := set[pos]
-		if !l.Footprint.Has(word) {
-			l.Footprint = l.Footprint.Set(word)
-			if uint8(pos) > l.MaxFPPos {
-				l.MaxFPPos = uint8(pos)
+	if c.quota != nil {
+		owners := c.owners
+		for pos := range set {
+			owners[pos] = lru.Free
+			if set[pos].Valid {
+				owners[pos] = set[pos].Tenant
 			}
 		}
-		if write {
-			l.Dirty = true
-		}
-		c.promote(set, pos, l)
-		c.memoRecord(si, tag)
-		return true
+		victimPos = lru.Victim(owners, c.quota, tenant)
 	}
-	st.Misses++
-	victimPos := c.partitionVictim(set, tenant)
 	if v := set[victimPos]; v.Valid {
 		st.Evictions++
 		c.obsEvictions.Inc()
@@ -434,125 +307,16 @@ func (c *Cache) AccessInstallTenant(line mem.LineAddr, word int, write bool, ten
 	return false
 }
 
-// partitionVictim picks the way to replace for a missing tenant under
-// the installed quotas (plain LRU when unpartitioned). Invalid ways
-// fill first; then the quota rule above. The global-LRU fallbacks are
-// unreachable when quotas sum to the associativity and every tenant's
-// quota is at least one, but a transient quota shrink can leave every
-// other tenant exactly at its new quota — falling back to global LRU
-// keeps the install total even then.
-//
-//ldis:noalloc
-func (c *Cache) partitionVictim(set []Line, tenant int) int {
-	if c.quota == nil {
-		return len(set) - 1
-	}
-	var occ [MaxPartitionTenants]int32
-	invalid := -1
-	for pos := range set {
-		if !set[pos].Valid {
-			invalid = pos
-			continue
-		}
-		occ[set[pos].Tenant]++
-	}
-	if invalid >= 0 {
-		return invalid
-	}
-	if tenant < len(c.quota) && occ[tenant] >= c.quota[tenant] {
-		for pos := len(set) - 1; pos >= 0; pos-- {
-			if int(set[pos].Tenant) == tenant {
-				return pos
-			}
-		}
-		return len(set) - 1 // quota 0 and no resident line: take global LRU
-	}
-	for pos := len(set) - 1; pos >= 0; pos-- {
-		t := set[pos].Tenant
-		if int(t) >= len(c.quota) || occ[t] > c.quota[t] {
-			return pos
-		}
-	}
-	return len(set) - 1
-}
-
-// Install fills a line (after a miss) as MRU with the demand word's
-// footprint bit set, evicting the LRU entry if the set is full. It
-// returns the victim, if any. Installing a line that is already present
-// is a programming error and panics.
-//
-//ldis:noalloc
-func (c *Cache) Install(line mem.LineAddr, word int, write bool) (Victim, bool) {
-	si := c.setIndexOf(line)
-	set := c.sets[si]
-	tag := c.tagOf(line)
-	for pos := range set {
-		if set[pos].Valid && set[pos].Tag == tag {
-			panic(fmt.Sprintf("cache %q: installing already-present %v", c.cfg.Name, line))
-		}
-	}
-	st := &c.st
-	victimPos := len(set) - 1
-	var victim Victim
-	had := false
-	if v := set[victimPos]; v.Valid {
-		st.Evictions++
-		c.obsEvictions.Inc()
-		st.WordsUsedAtEvict.Add(v.Footprint.Count())
-		st.FPChangePos.Add(int(v.MaxFPPos))
-		if v.Dirty {
-			st.Writebacks++
-			c.obsWritebacks.Inc()
-		}
-		victim = Victim{
-			Line:      c.lineFromTag(v.Tag, si),
-			Dirty:     v.Dirty,
-			Footprint: v.Footprint,
-		}
-		had = true
-		c.memoInvalidate(si, v.Tag)
-	}
-	nl := Line{
-		Valid:     true,
-		Dirty:     write,
-		Tag:       tag,
-		Footprint: mem.FootprintOfWord(word),
-	}
-	c.promote(set, victimPos, nl)
-	c.memoRecord(si, tag)
-	return victim, had
-}
-
 // lineFromTag reconstructs a line address from a tag and set index.
 func (c *Cache) lineFromTag(tag uint64, setIdx int) mem.LineAddr {
 	return mem.LineAddr(tag<<c.tagShift | uint64(setIdx))
 }
 
-// MergeFootprint ORs fp into the line's footprint if present (the LOC
-// does this with footprints arriving from L1D evictions; the baseline
-// cache does it too so its Figure 1/2 statistics see the full word-usage
-// information). Position tracking: if new bits appear, the line's
-// current recency position competes for MaxFPPos.
-func (c *Cache) MergeFootprint(line mem.LineAddr, fp mem.Footprint) {
-	set := c.sets[c.setIndexOf(line)]
-	tag := c.tagOf(line)
-	for pos := range set {
-		if set[pos].Valid && set[pos].Tag == tag {
-			if merged := set[pos].Footprint.Or(fp); merged != set[pos].Footprint {
-				set[pos].Footprint = merged
-				if uint8(pos) > set[pos].MaxFPPos {
-					set[pos].MaxFPPos = uint8(pos)
-				}
-			}
-			return
-		}
-	}
-}
-
-// MergeWriteback is the fused MergeFootprint + SetDirty the hierarchy
-// uses for L1D eviction notices: one set scan merges the footprint and
-// marks the line dirty (when the writeback carries dirty words),
-// instead of two.
+// MergeWriteback applies an L1D eviction notice to the resident copy,
+// if any: one set scan ORs fp into the line's footprint (new bits let
+// the line's current recency position compete for MaxFPPos, so the
+// Figure 1/2 statistics see the full word usage) and marks the line
+// dirty when the writeback carries dirty words.
 //
 //ldis:noalloc
 func (c *Cache) MergeWriteback(line mem.LineAddr, fp, dirty mem.Footprint) {
@@ -575,19 +339,6 @@ func (c *Cache) MergeWriteback(line mem.LineAddr, fp, dirty mem.Footprint) {
 	}
 }
 
-// SetDirty marks the line dirty if present (used when a dirty L1D line
-// is written back into a clean L2 copy).
-func (c *Cache) SetDirty(line mem.LineAddr) {
-	set := c.sets[c.setIndexOf(line)]
-	tag := c.tagOf(line)
-	for pos := range set {
-		if set[pos].Valid && set[pos].Tag == tag {
-			set[pos].Dirty = true
-			return
-		}
-	}
-}
-
 // VisitLines calls fn for every valid line (used by the compressibility
 // sampling of Figure 10). The footprint passed is the line's current
 // footprint.
@@ -599,20 +350,6 @@ func (c *Cache) VisitLines(fn func(line mem.LineAddr, fp mem.Footprint)) {
 			}
 		}
 	}
-}
-
-// RecencyPosition returns the LRU-stack position of the line (0 = MRU)
-// or -1 if absent; exposed for tests and the distill cache's auxiliary
-// structures.
-func (c *Cache) RecencyPosition(line mem.LineAddr) int {
-	set := c.sets[c.setIndexOf(line)]
-	tag := c.tagOf(line)
-	for pos := range set {
-		if set[pos].Valid && set[pos].Tag == tag {
-			return pos
-		}
-	}
-	return -1
 }
 
 // Merge folds a sibling shard's counters into s: shards partition the

@@ -33,16 +33,21 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// access is the single-tenant demand access every test drives.
+func access(c *Cache, l mem.LineAddr, word int, write bool) bool {
+	return c.AccessInstallTenant(l, word, write, 0)
+}
+
 func TestMissThenInstallThenHit(t *testing.T) {
 	c := small()
 	l := mem.LineAddr(0x40)
-	if c.Access(l, 0, false) {
+	if access(c, l, 0, false) {
 		t.Fatal("cold access should miss")
 	}
-	if _, had := c.Install(l, 0, false); had {
-		t.Fatal("install into empty set should not evict")
+	if !c.Lookup(l) || c.Stats().Evictions != 0 {
+		t.Fatal("a miss into an empty set installs without evicting")
 	}
-	if !c.Access(l, 1, false) {
+	if !access(c, l, 1, false) {
 		t.Fatal("second access should hit")
 	}
 	st := c.Stats()
@@ -56,78 +61,102 @@ func TestLRUEviction(t *testing.T) {
 	// Three lines mapping to set 0 of a 4-set cache: line addresses
 	// congruent mod 4.
 	a, b, d := mem.LineAddr(0), mem.LineAddr(4), mem.LineAddr(8)
-	c.Access(a, 0, false)
-	c.Install(a, 0, false)
-	c.Access(b, 0, false)
-	c.Install(b, 0, false)
-	// a is LRU; touch a to promote it, then install d: b must be victim.
-	c.Access(a, 0, false)
-	v, had := c.Install(d, 0, false)
-	if !had || v.Line != b {
-		t.Fatalf("victim = %+v (had=%v), want line %v", v, had, b)
-	}
+	access(c, a, 0, false)
+	access(c, b, 0, false)
+	// a is LRU; touch a to promote it, then miss on d: b must be victim.
+	access(c, a, 0, false)
+	access(c, d, 0, false)
 	if !c.Lookup(a) || !c.Lookup(d) || c.Lookup(b) {
 		t.Error("post-eviction contents wrong")
+	}
+	if ev := c.Stats().Evictions; ev != 1 {
+		t.Errorf("evictions = %d, want 1", ev)
 	}
 }
 
 func TestDirtyWriteback(t *testing.T) {
 	c := small()
 	a, b, d := mem.LineAddr(0), mem.LineAddr(4), mem.LineAddr(8)
-	c.Install(a, 0, true) // dirty install (write miss fill)
-	c.Install(b, 0, false)
-	v, had := c.Install(d, 0, false) // evicts a (LRU)
-	if !had || v.Line != a || !v.Dirty {
-		t.Fatalf("victim = %+v, want dirty line %v", v, a)
+	access(c, a, 0, true) // dirty install (write miss fill)
+	access(c, b, 0, false)
+	access(c, d, 0, false) // evicts a (LRU)
+	if c.Lookup(a) {
+		t.Fatal("a should have been evicted")
 	}
 	if c.Stats().Writebacks != 1 {
 		t.Errorf("writebacks = %d", c.Stats().Writebacks)
+	}
+	access(c, b, 0, false)
+	access(c, a, 0, false) // evicts d, clean
+	if c.Stats().Writebacks != 1 {
+		t.Errorf("clean eviction counted a writeback: %d", c.Stats().Writebacks)
 	}
 }
 
 func TestWriteHitSetsDirty(t *testing.T) {
 	c := small()
 	a, b, d := mem.LineAddr(0), mem.LineAddr(4), mem.LineAddr(8)
-	c.Install(a, 0, false)
-	c.Access(a, 0, true) // write hit
-	c.Install(b, 0, false)
-	v, _ := c.Install(d, 0, false)
-	if v.Line != a || !v.Dirty {
-		t.Fatalf("write hit should have dirtied %v, victim %+v", a, v)
+	access(c, a, 0, false)
+	access(c, a, 0, true) // write hit
+	access(c, b, 0, false)
+	access(c, d, 0, false) // evicts a
+	if c.Lookup(a) || c.Stats().Writebacks != 1 {
+		t.Fatalf("write hit should have dirtied %v: writebacks %d", a, c.Stats().Writebacks)
 	}
 }
 
 func TestFootprintAccumulates(t *testing.T) {
 	c := small()
 	a := mem.LineAddr(0)
-	c.Install(a, 2, false)
-	c.Access(a, 5, false)
-	c.Access(a, 5, false) // repeated word: no new bit
-	c.Install(mem.LineAddr(4), 0, false)
-	v, _ := c.Install(mem.LineAddr(8), 0, false)
-	if v.Line != a {
-		t.Fatalf("victim %v, want %v", v.Line, a)
-	}
-	if v.Footprint.Count() != 2 || !v.Footprint.Has(2) || !v.Footprint.Has(5) {
-		t.Errorf("evicted footprint = %v", v.Footprint)
+	access(c, a, 2, false)
+	access(c, a, 5, false)
+	access(c, a, 5, false) // repeated word: no new bit
+	access(c, mem.LineAddr(4), 0, false)
+	access(c, mem.LineAddr(8), 0, false) // evicts a
+	if c.Lookup(a) {
+		t.Fatal("a should have been evicted")
 	}
 	if c.Stats().WordsUsedAtEvict.Count(2) != 1 {
-		t.Error("words-used histogram not updated")
+		t.Errorf("words-used histogram = %v, want one 2-word eviction", c.Stats().WordsUsedAtEvict)
 	}
 }
 
-func TestMergeFootprint(t *testing.T) {
+// TestWritebackMergesFootprint: an L1 eviction notice ORs its
+// footprint into the resident copy without dirtying it when it carries
+// no dirty words.
+func TestWritebackMergesFootprint(t *testing.T) {
 	c := small()
 	a := mem.LineAddr(0)
-	c.Install(a, 0, false)
-	c.MergeFootprint(a, mem.FootprintOfWord(7).Or(mem.FootprintOfWord(0)))
-	c.Install(mem.LineAddr(4), 0, false)
-	v, _ := c.Install(mem.LineAddr(8), 0, false)
-	if v.Footprint.Count() != 2 {
-		t.Errorf("merged footprint = %v", v.Footprint)
+	access(c, a, 0, false)
+	c.MergeWriteback(a, mem.FootprintOfWord(7).Or(mem.FootprintOfWord(0)), 0)
+	access(c, mem.LineAddr(4), 0, false)
+	access(c, mem.LineAddr(8), 0, false) // evicts a
+	st := c.Stats()
+	if st.WordsUsedAtEvict.Count(2) != 1 {
+		t.Errorf("merged footprint not seen at eviction: %v", st.WordsUsedAtEvict)
+	}
+	if st.Writebacks != 0 {
+		t.Errorf("clean notice dirtied the line: %d writebacks", st.Writebacks)
 	}
 	// Merging into an absent line is a no-op.
-	c.MergeFootprint(mem.LineAddr(0x7777), mem.FullFootprint)
+	c.MergeWriteback(mem.LineAddr(0x7777), mem.FullFootprint, mem.FullFootprint)
+	if c.Lookup(mem.LineAddr(0x7777)) {
+		t.Error("notice for an absent line installed it")
+	}
+}
+
+// TestWritebackSetsDirty: a notice carrying dirty words dirties the
+// resident clean copy, so its eviction writes back.
+func TestWritebackSetsDirty(t *testing.T) {
+	c := small()
+	a := mem.LineAddr(0)
+	access(c, a, 0, false)
+	c.MergeWriteback(a, mem.FootprintOfWord(0), mem.FootprintOfWord(0))
+	access(c, mem.LineAddr(4), 0, false)
+	access(c, mem.LineAddr(8), 0, false) // evicts a
+	if c.Stats().Writebacks != 1 {
+		t.Errorf("writebacks = %d, want 1", c.Stats().Writebacks)
+	}
 }
 
 func TestMaxFPPosTracking(t *testing.T) {
@@ -135,18 +164,15 @@ func TestMaxFPPosTracking(t *testing.T) {
 	// new word -> MaxFPPos should be 2.
 	c := New(Config{Name: "p", SizeBytes: 4 * mem.LineSize, Ways: 4})
 	a := mem.LineAddr(0)
-	c.Install(a, 0, false)
-	c.Install(mem.LineAddr(1), 0, false)
-	c.Install(mem.LineAddr(2), 0, false)
-	if pos := c.RecencyPosition(a); pos != 2 {
-		t.Fatalf("a at position %d, want 2", pos)
-	}
-	c.Access(a, 3, false) // footprint change at position 2
-	c.Install(mem.LineAddr(3), 0, false)
-	c.Install(mem.LineAddr(4), 0, false)
-	c.Install(mem.LineAddr(5), 0, false)
-	// a is LRU now; next install evicts it.
-	c.Install(mem.LineAddr(6), 0, false)
+	access(c, a, 0, false)
+	access(c, mem.LineAddr(1), 0, false)
+	access(c, mem.LineAddr(2), 0, false)
+	access(c, a, 3, false) // footprint change at position 2
+	access(c, mem.LineAddr(3), 0, false)
+	access(c, mem.LineAddr(4), 0, false)
+	access(c, mem.LineAddr(5), 0, false)
+	// a is LRU now; next miss evicts it.
+	access(c, mem.LineAddr(6), 0, false)
 	if c.Lookup(a) {
 		t.Fatal("a should have been evicted")
 	}
@@ -158,12 +184,12 @@ func TestMaxFPPosTracking(t *testing.T) {
 func TestAccessSameWordDoesNotRaiseMaxPos(t *testing.T) {
 	c := New(Config{Name: "p", SizeBytes: 4 * mem.LineSize, Ways: 4})
 	a := mem.LineAddr(0)
-	c.Install(a, 0, false)
-	c.Install(mem.LineAddr(1), 0, false)
-	c.Install(mem.LineAddr(2), 0, false)
-	c.Access(a, 0, false) // same word at depth: footprint unchanged
+	access(c, a, 0, false)
+	access(c, mem.LineAddr(1), 0, false)
+	access(c, mem.LineAddr(2), 0, false)
+	access(c, a, 0, false) // same word at depth: footprint unchanged
 	for i := 3; i < 7; i++ {
-		c.Install(mem.LineAddr(i), 0, false)
+		access(c, mem.LineAddr(i), 0, false)
 	}
 	h := c.Stats().FPChangePos
 	if h.Total() != h.Count(0) {
@@ -171,22 +197,40 @@ func TestAccessSameWordDoesNotRaiseMaxPos(t *testing.T) {
 	}
 }
 
-func TestDoubleInstallPanics(t *testing.T) {
-	c := small()
-	c.Install(0, 0, false)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on double install")
-		}
-	}()
-	c.Install(0, 0, false)
+// TestPartitionQuotaVictim drives the partitioned miss path: a tenant
+// under its quota takes the over-quota tenant's LRU-most line, a tenant
+// at its quota recycles its own, and hits never change ownership.
+func TestPartitionQuotaVictim(t *testing.T) {
+	c := New(Config{Name: "p", SizeBytes: 4 * mem.LineSize, Ways: 4}) // 1 set
+	for l := mem.LineAddr(0); l < 4; l++ {
+		c.AccessInstallTenant(l, 0, false, 0) // tenant 0 fills the set
+	}
+	c.SetPartition([]int{2, 2})
+	c.AccessInstallTenant(1, 0, false, 1) // hit: line 1 stays tenant 0's
+	c.AccessInstallTenant(10, 0, false, 1)
+	if c.Lookup(0) || !c.Lookup(1) {
+		t.Fatal("tenant 1 under quota must evict tenant 0's LRU-most line (0)")
+	}
+	c.AccessInstallTenant(11, 0, false, 1)
+	if c.Lookup(2) {
+		t.Fatal("tenant 1 under quota must evict tenant 0's next LRU-most line (2)")
+	}
+	c.AccessInstallTenant(12, 0, false, 1) // at quota: recycles its own
+	if c.Lookup(10) || !c.Lookup(11) || !c.Lookup(1) || !c.Lookup(3) {
+		t.Error("tenant 1 at quota must evict its own LRU-most line (10)")
+	}
+	c.SetPartition(nil)
+	c.AccessInstallTenant(13, 0, false, 1) // plain LRU again
+	if c.Lookup(3) {
+		t.Error("unpartitioned miss must evict the global LRU line (3)")
+	}
 }
 
 func TestVisitLines(t *testing.T) {
 	c := small()
 	want := map[mem.LineAddr]bool{1: true, 2: true, 5: true}
 	for l := range want {
-		c.Install(l, 0, false)
+		access(c, l, 0, false)
 	}
 	got := map[mem.LineAddr]bool{}
 	c.VisitLines(func(l mem.LineAddr, fp mem.Footprint) {
@@ -205,24 +249,10 @@ func TestVisitLines(t *testing.T) {
 	}
 }
 
-func TestSetDirty(t *testing.T) {
-	c := small()
-	a := mem.LineAddr(0)
-	c.Install(a, 0, false)
-	c.SetDirty(a)
-	c.Install(mem.LineAddr(4), 0, false)
-	v, _ := c.Install(mem.LineAddr(8), 0, false)
-	if !v.Dirty {
-		t.Error("SetDirty did not stick")
-	}
-	c.SetDirty(mem.LineAddr(0x999)) // absent: no-op
-}
-
 func TestHitRate(t *testing.T) {
 	c := small()
-	c.Access(0, 0, false)
-	c.Install(0, 0, false)
-	c.Access(0, 0, false)
+	access(c, 0, 0, false)
+	access(c, 0, 0, false)
 	if hr := c.Stats().HitRate(); hr != 0.5 {
 		t.Errorf("HitRate = %v, want 0.5", hr)
 	}
@@ -252,14 +282,13 @@ func TestLRUMatchesReferenceModel(t *testing.T) {
 					break
 				}
 			}
-			hit := c.Access(line, 0, false)
+			hit := access(c, line, 0, false)
 			if (found >= 0) != hit {
 				return false
 			}
 			if found >= 0 {
 				ref[si] = append([]mem.LineAddr{line}, append(ref[si][:found], ref[si][found+1:]...)...)
 			} else {
-				c.Install(line, 0, false)
 				ref[si] = append([]mem.LineAddr{line}, ref[si]...)
 				if len(ref[si]) > ways {
 					ref[si] = ref[si][:ways]

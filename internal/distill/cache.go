@@ -3,6 +3,7 @@ package distill
 import (
 	"fmt"
 
+	"ldis/internal/lru"
 	"ldis/internal/mem"
 	"ldis/internal/obs"
 	"ldis/internal/sampler"
@@ -94,11 +95,6 @@ func (s *Stats) Misses() uint64 { return s.HoleMisses + s.LineMisses }
 // Hits returns the total hit count.
 func (s *Stats) Hits() uint64 { return s.LOCHits + s.WOCHits }
 
-// maxTenants bounds the tenants a partitioned distill cache can
-// distinguish; it matches cache.MaxPartitionTenants so the two
-// organizations accept the same controller allocations.
-const maxTenants = 8
-
 // locEntry is a LOC tag entry: tag, per-word footprint and dirty mask,
 // and the Figure-2 recency instrumentation. tenant records which
 // sharer installed the line (always 0 outside partitioned mode) and
@@ -149,6 +145,9 @@ type Cache struct {
 	// threaded into the distilled-line installs. See SetPartition.
 	locQuota []int32
 	wocMask  []uint64
+	// owners is installLOC's scratch view of a set for lru.Victim
+	// (allocated with the first partition).
+	owners []uint8
 
 	// Observability handles, registered once at construction; all nil
 	// (and therefore no-ops) when the config carries no obs cell. They
@@ -398,7 +397,14 @@ func (c *Cache) lineFromTag(tag uint64, setIdx int) mem.LineAddr {
 func (c *Cache) installLOC(s *set, si int, tag uint64, word int, write, instr bool, mergedDirty mem.Footprint, tenant int) {
 	victimPos := len(s.loc) - 1
 	if c.locQuota != nil {
-		victimPos = c.locVictim(s.loc, tenant)
+		owners := c.owners[:len(s.loc)]
+		for pos := range s.loc {
+			owners[pos] = lru.Free
+			if s.loc[pos].valid {
+				owners[pos] = s.loc[pos].tenant
+			}
+		}
+		victimPos = lru.Victim(owners, c.locQuota, tenant)
 	}
 	if v := s.loc[victimPos]; v.valid {
 		tok := c.obsSpans.Begin(obs.StageDistillEvict)
@@ -513,45 +519,6 @@ func (c *Cache) wocInsert(s *set, wl wordstore.Line, tenant uint8) {
 	}
 }
 
-// locVictim picks the LOC way to replace for a missing tenant under
-// the installed quotas: invalid ways fill first, a tenant at or over
-// its quota evicts its own LRU-most line, one under it evicts the
-// LRU-most line of an over-quota tenant. The global-LRU fallbacks
-// mirror cache.(*Cache).partitionVictim: unreachable when quotas sum
-// to the LOC associativity with every tenant granted at least one way,
-// but a transient quota shrink mid-drain lands there safely.
-//
-//ldis:noalloc
-func (c *Cache) locVictim(loc []locEntry, tenant int) int {
-	var occ [maxTenants]int32
-	invalid := -1
-	for pos := range loc {
-		if !loc[pos].valid {
-			invalid = pos
-			continue
-		}
-		occ[loc[pos].tenant]++
-	}
-	if invalid >= 0 {
-		return invalid
-	}
-	if tenant < len(c.locQuota) && occ[tenant] >= c.locQuota[tenant] {
-		for pos := len(loc) - 1; pos >= 0; pos-- {
-			if int(loc[pos].tenant) == tenant {
-				return pos
-			}
-		}
-		return len(loc) - 1
-	}
-	for pos := len(loc) - 1; pos >= 0; pos-- {
-		t := loc[pos].tenant
-		if int(t) >= len(c.locQuota) || occ[t] > c.locQuota[t] {
-			return pos
-		}
-	}
-	return len(loc) - 1
-}
-
 // SetPartition installs per-tenant LOC way quotas and WOC way masks
 // for the AccessTenant path. locQuota[t] is the number of LOC ways
 // tenant t may occupy per set (sum at most the LOC associativity);
@@ -571,32 +538,19 @@ func (c *Cache) SetPartition(locQuota []int, wocMask []uint64) {
 	if c.cfg.WOCLRU {
 		panic(fmt.Sprintf("distill %q: SetPartition with WOCLRU is unsupported", c.cfg.Name))
 	}
-	if len(locQuota) > maxTenants {
-		panic(fmt.Sprintf("distill %q: %d tenants exceed %d", c.cfg.Name, len(locQuota), maxTenants))
-	}
 	if len(wocMask) != len(locQuota) {
 		panic(fmt.Sprintf("distill %q: %d WOC masks for %d LOC quotas", c.cfg.Name, len(wocMask), len(locQuota)))
 	}
-	sum := 0
-	for t, q := range locQuota {
-		if q < 0 {
-			panic(fmt.Sprintf("distill %q: negative quota %d for tenant %d", c.cfg.Name, q, t))
-		}
-		sum += q
+	q, err := lru.Quotas(c.locQuota, locQuota, c.cfg.LOCWays())
+	if err != nil {
+		panic(fmt.Sprintf("distill %q: %v", c.cfg.Name, err))
 	}
-	if sum > c.cfg.LOCWays() {
-		panic(fmt.Sprintf("distill %q: quota sum %d exceeds %d LOC ways", c.cfg.Name, sum, c.cfg.LOCWays()))
+	c.locQuota = q
+	if c.wocMask == nil {
+		c.wocMask = make([]uint64, 0, lru.MaxTenants)
+		c.owners = make([]uint8, c.cfg.LOCWays())
 	}
-	if c.locQuota == nil {
-		c.locQuota = make([]int32, 0, maxTenants)
-		c.wocMask = make([]uint64, 0, maxTenants)
-	}
-	c.locQuota = c.locQuota[:0]
-	c.wocMask = c.wocMask[:0]
-	for i, q := range locQuota {
-		c.locQuota = append(c.locQuota, int32(q))
-		c.wocMask = append(c.wocMask, wocMask[i])
-	}
+	c.wocMask = append(c.wocMask[:0], wocMask...)
 }
 
 // switchMode toggles a follower set between distill and traditional
@@ -616,46 +570,19 @@ func (c *Cache) switchMode(s *set, si int, trad bool) {
 		// allocation or by the previous narrow step.
 		s.loc = s.loc[:c.cfg.Ways]
 	} else {
-		// Distill the entries that no longer fit, LRU-most first.
+		// Distill the entries that no longer fit, LRU-most first. The
+		// set is in distill mode from here on, so evictLOC distills
+		// rather than evicts.
+		s.trad = false
 		for i := len(s.loc) - 1; i >= c.cfg.LOCWays(); i-- {
 			if s.loc[i].valid {
-				c.evictLOCNarrow(s, si, s.loc[i])
+				c.evictLOC(s, si, s.loc[i])
 			}
 			s.loc[i] = locEntry{}
 		}
 		s.loc = s.loc[:c.cfg.LOCWays()]
 	}
 	s.trad = trad
-}
-
-// evictLOCNarrow distills a line displaced by a traditional->distill
-// mode switch. The set's trad flag is still true at this point, so it
-// bypasses the trad check in evictLOC.
-func (c *Cache) evictLOCNarrow(s *set, si int, v locEntry) {
-	if v.instr {
-		c.st.InstrEvictions++
-		if v.dirty != 0 {
-			c.st.Writebacks++
-		}
-		return
-	}
-	used := v.fp.Count()
-	c.st.WordsUsedAtEvict.Add(used)
-	c.st.FPChangePos.Add(int(v.maxFPPos))
-	if !c.admit(used) {
-		c.st.ThresholdSkips++
-		c.obsThresholdSkips.Inc()
-		if v.dirty != 0 {
-			c.st.Writebacks++
-		}
-		return
-	}
-	slots := mem.Pow2WordsFor(used)
-	if c.cfg.Slots != nil {
-		//ldis:alloc-ok Slots is an ablation extension hook; configs that install one own its allocation behaviour
-		slots = c.cfg.Slots(c.lineFromTag(v.tag, si), v.fp)
-	}
-	c.installWOC(s, wordstore.Line{Tag: v.tag, Words: v.fp, Dirty: v.dirty, Slots: slots}, v.tenant)
 }
 
 // admit applies the configured distillation threshold: the running

@@ -124,8 +124,7 @@ func (s *System) Do(a mem.Access) Class {
 	class, valid := s.L2.Access(la, word, a.PC, write)
 	if out == l1.LineMiss {
 		// The line is absent (AccessEvict just said so), so the fill can
-		// skip the presence scan; it may displace a line whose slot was
-		// freed by an unrelated Invalidate.
+		// skip the presence scan.
 		if fev, fhad := s.L1D.FillNew(la, valid, word, write); fhad {
 			//ldis:alloc-ok interface dispatch into the L2 organization; every implementation is annotated noalloc
 			s.L2.WritebackFromL1(fev.Line, fev.Footprint, fev.Dirty)
@@ -139,9 +138,9 @@ func (s *System) Do(a mem.Access) Class {
 	return class
 }
 
-// DoBatch drives one record block through the system: the bulk half of
-// the batched pipeline. The scalar Do stays as the compatibility entry
-// point (the CPU timing model still paces accesses one by one).
+// DoBatch drives one record block through the system, one Do per
+// record (the CPU timing model calls Do directly, one access at a
+// time).
 //
 //ldis:noalloc
 func (s *System) DoBatch(recs []trace.Record) {
@@ -273,10 +272,11 @@ type TradL2 struct {
 // NewTradL2 wraps a traditional cache.
 func NewTradL2(c *cache.Cache) *TradL2 { return &TradL2{C: c} }
 
-// Access implements L2. The fused lookup+install walks the set once on
-// the miss path; the cache counts the victim's writeback internally.
+// Access implements L2 through the cache's one access path, as tenant
+// 0 of an unpartitioned cache; the cache counts the victim's writeback
+// internally.
 func (t *TradL2) Access(la mem.LineAddr, word int, _ mem.Addr, write bool) (Class, mem.Footprint) {
-	if t.C.AccessInstall(la, word, write) {
+	if t.C.AccessInstallTenant(la, word, write, 0) {
 		return L2Hit, mem.FullFootprint
 	}
 	return L2Miss, mem.FullFootprint

@@ -132,58 +132,15 @@ func (c *Cache) tagOf(la mem.LineAddr) uint64   { return uint64(la) >> c.tagShif
 // Stats returns the live counters.
 func (c *Cache) Stats() *Stats { return &c.st }
 
-// Access performs a processor load/store of one word. On Hit the
+// AccessEvict performs a processor load/store of one word. On Hit the
 // footprint and dirty bits update and the line moves to MRU. On
-// SectorMiss or LineMiss the caller must consult the L2 and then call
-// Fill.
-func (c *Cache) Access(la mem.LineAddr, word int, write bool) Outcome {
-	c.st.Accesses++
-	set := c.sets[c.setIndexOf(la)]
-	tag := c.tagOf(la)
-	// MRU fast path: a hit on way 0 needs no reordering, so it updates
-	// the line in place instead of copying it out and back.
-	if l := &set[0]; l.valid && l.tag == tag {
-		if !l.validBits.Has(word) {
-			c.st.SectorMisses++
-			// Keep LRU state untouched until the fill arrives.
-			return SectorMiss
-		}
-		c.st.Hits++
-		l.footprint = l.footprint.Set(word)
-		if write {
-			l.dirty = l.dirty.Set(word)
-		}
-		return Hit
-	}
-	for pos := 1; pos < len(set); pos++ {
-		if !set[pos].valid || set[pos].tag != tag {
-			continue
-		}
-		l := set[pos]
-		if !l.validBits.Has(word) {
-			c.st.SectorMisses++
-			// Keep LRU state untouched until the fill arrives.
-			return SectorMiss
-		}
-		c.st.Hits++
-		l.footprint = l.footprint.Set(word)
-		if write {
-			l.dirty = l.dirty.Set(word)
-		}
-		copy(set[1:pos+1], set[0:pos])
-		set[0] = l
-		return Hit
-	}
-	c.st.LineMisses++
-	return LineMiss
-}
-
-// AccessEvict fuses Access with EvictFor's victim selection: one set
-// scan serves the hit/sector-miss paths, and a line miss in a full set
-// evicts the LRU way immediately — exactly the Access-then-EvictFor
-// sequence the hierarchy performs, without the second scan. The victim
-// (if any) must be written back to the L2 before the miss request, as
-// EvictFor's contract describes.
+// SectorMiss the LRU state is left untouched until the fill arrives.
+// On LineMiss in a full set the LRU way is evicted immediately and
+// returned: the caller sends its footprint and dirty words to the L2
+// *before* the miss request, as a victim buffer would, so the LOC has
+// the usage information when it distills. After a miss the caller
+// consults the L2 and then calls FillNew (line miss) or Fill (sector
+// miss).
 //
 //ldis:noalloc
 func (c *Cache) AccessEvict(la mem.LineAddr, word int, write bool) (Outcome, Eviction, bool) {
@@ -191,7 +148,8 @@ func (c *Cache) AccessEvict(la mem.LineAddr, word int, write bool) (Outcome, Evi
 	si := c.setIndexOf(la)
 	set := c.sets[si]
 	tag := c.tagOf(la)
-	// MRU fast path, as in Access.
+	// MRU fast path: a hit on way 0 needs no reordering, so it updates
+	// the line in place.
 	free := false
 	if l := &set[0]; l.valid && l.tag == tag {
 		if !l.validBits.Has(word) {
@@ -246,15 +204,15 @@ func (c *Cache) AccessEvict(la mem.LineAddr, word int, write bool) (Outcome, Evi
 // words (FullFootprint when served by the LOC or memory, possibly
 // partial when served by the WOC). word is the demand word — it is
 // recorded in the footprint (and dirty mask if write). If the line is
-// already present (sector miss fill) the valid bits are merged and
-// footprint/dirty state is preserved. Returns the eviction the fill
-// displaced, if any.
+// already present (sector miss fill) the valid bits are merged,
+// footprint/dirty state is preserved and the line moves to MRU;
+// otherwise the fill is FillNew's install. Returns the eviction the
+// fill displaced, if any.
 func (c *Cache) Fill(la mem.LineAddr, validBits mem.Footprint, word int, write bool) (Eviction, bool) {
 	if !validBits.Has(word) {
 		panic(fmt.Sprintf("l1: fill of %v lacks demand word %d (valid %v)", la, word, validBits))
 	}
-	si := c.setIndexOf(la)
-	set := c.sets[si]
+	set := c.sets[c.setIndexOf(la)]
 	tag := c.tagOf(la)
 	for pos := range set {
 		if set[pos].valid && set[pos].tag == tag {
@@ -269,29 +227,13 @@ func (c *Cache) Fill(la mem.LineAddr, validBits mem.Footprint, word int, write b
 			return Eviction{}, false
 		}
 	}
-	var ev Eviction
-	had := false
-	if v := set[len(set)-1]; v.valid {
-		c.st.Evictions++
-		if v.dirty != 0 {
-			c.st.Writebacks++
-		}
-		ev = Eviction{Line: c.lineFromTag(v.tag, si), Footprint: v.footprint, Dirty: v.dirty}
-		had = true
-	}
-	nl := line{valid: true, tag: tag, validBits: validBits, footprint: mem.FootprintOfWord(word)}
-	if write {
-		nl.dirty = mem.FootprintOfWord(word)
-	}
-	copy(set[1:], set[:len(set)-1])
-	set[0] = nl
-	return ev, had
+	return c.FillNew(la, validBits, word, write)
 }
 
 // FillNew installs a miss response for a line the caller knows is
 // absent (AccessEvict just returned LineMiss and nothing has touched
-// the set since), skipping Fill's presence scan. Semantics otherwise
-// match Fill's install path exactly.
+// the set since), skipping Fill's presence scan. The line enters as
+// MRU; if the LRU way is still valid it is evicted and returned.
 //
 //ldis:noalloc
 func (c *Cache) FillNew(la mem.LineAddr, validBits mem.Footprint, word int, write bool) (Eviction, bool) {
@@ -317,48 +259,6 @@ func (c *Cache) FillNew(la mem.LineAddr, validBits mem.Footprint, word int, writ
 	copy(set[1:], set[:len(set)-1])
 	set[0] = nl
 	return ev, had
-}
-
-// EvictFor frees a slot for an incoming fill of la, returning the
-// victim's eviction record. It is a no-op when the line is already
-// present (sector fill) or its set has a free way. Callers use it to
-// send the victim's footprint and dirty words to the L2 *before* the
-// miss request, as a victim buffer would, so the LOC has the usage
-// information when it distills.
-func (c *Cache) EvictFor(la mem.LineAddr) (Eviction, bool) {
-	si := c.setIndexOf(la)
-	set := c.sets[si]
-	tag := c.tagOf(la)
-	for pos := range set {
-		if !set[pos].valid || set[pos].tag == tag {
-			return Eviction{}, false // free way, or sector fill
-		}
-	}
-	v := set[len(set)-1]
-	set[len(set)-1] = line{}
-	c.st.Evictions++
-	if v.dirty != 0 {
-		c.st.Writebacks++
-	}
-	return Eviction{Line: c.lineFromTag(v.tag, si), Footprint: v.footprint, Dirty: v.dirty}, true
-}
-
-// Invalidate removes the line if present, returning its eviction record
-// (footprint + dirty words) so the L2 still learns the usage. Used when
-// the L2 needs exclusivity (e.g. tests and future coherence hooks).
-func (c *Cache) Invalidate(la mem.LineAddr) (Eviction, bool) {
-	si := c.setIndexOf(la)
-	set := c.sets[si]
-	tag := c.tagOf(la)
-	for pos := range set {
-		if set[pos].valid && set[pos].tag == tag {
-			v := set[pos]
-			set[pos] = line{}
-			ev := Eviction{Line: la, Footprint: v.footprint, Dirty: v.dirty}
-			return ev, true
-		}
-	}
-	return Eviction{}, false
 }
 
 // Present reports whether the line (any sector) is cached.

@@ -3,16 +3,17 @@ package partition
 import (
 	"fmt"
 
+	"ldis/internal/lru"
 	"ldis/internal/mem"
 	"ldis/internal/mrc"
 	"ldis/internal/obs"
 )
 
-// MaxTenants bounds the tenants one controller can manage; it matches
-// cache.MaxPartitionTenants so every allocation the controller emits
-// is enforceable, and lets the per-epoch Decision record use fixed
-// arrays instead of allocating.
-const MaxTenants = 8
+// MaxTenants bounds the tenants one controller can manage. It is the
+// partitioned sets' own limit (lru.MaxTenants), so every allocation the
+// controller emits is enforceable, and it lets the per-epoch Decision
+// record use fixed arrays instead of allocating.
+const MaxTenants = lru.MaxTenants
 
 // Config parameterizes one Controller.
 type Config struct {

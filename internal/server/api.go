@@ -53,14 +53,13 @@ func (s *Server) routes() []route {
 // Handler assembles the routed API behind the hardening middleware
 // chain (outermost first: request-id/log, panic recovery, path guard,
 // body limit, per-request deadline). Every resource lives under /v1/;
-// the unversioned spellings answer 301 (GET/HEAD, preserving the
-// query) or 410, never content.
+// any other path is a structured 404.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	for _, rt := range s.routes() {
 		mux.HandleFunc(rt.method+" "+rt.path, rt.handler)
 	}
-	mux.HandleFunc("/", s.handleLegacy)
+	mux.HandleFunc("/", s.handleNotFound)
 	var h http.Handler = mux
 	h = s.withDeadline(h)
 	h = s.withBodyLimit(h)
@@ -96,43 +95,11 @@ func (s *Server) handleOpenAPI(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleLegacy is the catch-all for everything outside /v1/: a known
-// resource spelled without the prefix answers 301 (GET/HEAD, with the
-// query preserved) pointing at its /v1 home, or 410 for methods where
-// a silent redirect could replay a mutation against the wrong
-// contract; anything else is a plain 404.
-func (s *Server) handleLegacy(w http.ResponseWriter, r *http.Request) {
-	seg := strings.TrimPrefix(r.URL.Path, "/")
-	if i := strings.IndexByte(seg, '/'); i >= 0 {
-		seg = seg[:i]
-	}
-	known := false
-	for _, rt := range s.routes() {
-		root := strings.TrimPrefix(rt.path, "/v1/")
-		if j := strings.IndexByte(root, '/'); j >= 0 {
-			root = root[:j]
-		}
-		if seg == root && seg != "" {
-			known = true
-			break
-		}
-	}
-	if !known {
-		writeError(w, r, http.StatusNotFound, apiError{Error: "unknown path " + r.URL.Path})
-		return
-	}
-	switch r.Method {
-	case http.MethodGet, http.MethodHead:
-		target := "/v1" + r.URL.Path
-		if r.URL.RawQuery != "" {
-			target += "?" + r.URL.RawQuery
-		}
-		http.Redirect(w, r, target, http.StatusMovedPermanently)
-	default:
-		writeError(w, r, http.StatusGone, apiError{
-			Error: fmt.Sprintf("unversioned path %s is gone; use /v1%s", r.URL.Path, r.URL.Path),
-		})
-	}
+// handleNotFound answers everything outside the v1 route table with
+// the structured JSON 404. Every resource lives under /v1/; the
+// unversioned spellings are unknown paths like any other.
+func (s *Server) handleNotFound(w http.ResponseWriter, r *http.Request) {
+	writeError(w, r, http.StatusNotFound, apiError{Error: "unknown path " + r.URL.Path})
 }
 
 // handleHealth reports liveness and queue occupancy; "draining" tells

@@ -392,10 +392,9 @@ func TestV1OpenAPIDocument(t *testing.T) {
 	}
 }
 
-// TestLegacyPathPolicy pins the unversioned-path contract: known
-// resources 301 on GET/HEAD (query preserved) and 410 on mutating
-// methods; unknown paths are plain 404s. Content is never served
-// outside /v1/.
+// TestLegacyPathPolicy pins the unversioned-path contract: content is
+// served only under /v1/, and every other path — the unprefixed
+// spellings of v1 resources included — is the structured JSON 404.
 func TestLegacyPathPolicy(t *testing.T) {
 	_, base, _ := startTestServer(t)
 	client := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
@@ -403,21 +402,13 @@ func TestLegacyPathPolicy(t *testing.T) {
 	}}
 	t.Cleanup(client.CloseIdleConnections)
 
-	cases := []struct {
-		method, path string
-		wantStatus   int
-		wantLocation string
-	}{
-		{"GET", "/healthz", http.StatusMovedPermanently, "/v1/healthz"},
-		{"HEAD", "/healthz", http.StatusMovedPermanently, "/v1/healthz"},
-		{"GET", "/jobs/j123/result?wait=1", http.StatusMovedPermanently, "/v1/jobs/j123/result?wait=1"},
-		{"GET", "/experiments", http.StatusMovedPermanently, "/v1/experiments"},
-		{"POST", "/jobs", http.StatusGone, ""},
-		{"POST", "/traces", http.StatusGone, ""},
-		{"DELETE", "/jobs/j123", http.StatusGone, ""},
-		{"GET", "/nope", http.StatusNotFound, ""},
-		{"GET", "/", http.StatusNotFound, ""},
-		{"POST", "/v2/jobs", http.StatusNotFound, ""},
+	cases := []struct{ method, path string }{
+		{"GET", "/healthz"},
+		{"GET", "/jobs/j123/result?wait=1"},
+		{"POST", "/jobs"},
+		{"GET", "/nope"},
+		{"GET", "/"},
+		{"POST", "/v2/jobs"},
 	}
 	for _, tc := range cases {
 		req, err := http.NewRequest(tc.method, base+tc.path, strings.NewReader(""))
@@ -428,13 +419,14 @@ func TestLegacyPathPolicy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		io.Copy(io.Discard, resp.Body)
+		var e apiError
+		decErr := json.NewDecoder(resp.Body).Decode(&e)
 		resp.Body.Close()
-		if resp.StatusCode != tc.wantStatus {
-			t.Errorf("%s %s: status %d, want %d", tc.method, tc.path, resp.StatusCode, tc.wantStatus)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s: status %d, want 404", tc.method, tc.path, resp.StatusCode)
 		}
-		if got := resp.Header.Get("Location"); got != tc.wantLocation {
-			t.Errorf("%s %s: location %q, want %q", tc.method, tc.path, got, tc.wantLocation)
+		if decErr != nil || !strings.HasPrefix(e.Error, "unknown path ") || e.RequestID == "" {
+			t.Errorf("%s %s: body %+v (%v), want a structured unknown-path error", tc.method, tc.path, e, decErr)
 		}
 	}
 }
