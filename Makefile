@@ -32,7 +32,7 @@
 #   make bench-gate     # compare against benchmarks/baseline
 #   make bench-promote  # intentional perf change: update the baseline
 # `make microbench` runs the Go testing benchmarks (per-figure,
-# hot-path, and scheduler fan-out).
+# hot-path, scheduler fan-out, and the MRC engine's per-access cost).
 # `make fuzz-smoke` runs the trace-codec and checkpoint-scan fuzzers
 # briefly over their committed seed corpora.
 # `make mrc-smoke` validates the miss-ratio-curve engine: SHARDS-vs-
@@ -168,9 +168,12 @@ fuzz-smoke:
 # Miss-ratio-curve validation: the acceptance gate for internal/mrc.
 # The tests assert the SHARDS curve within 0.02 absolute error of the
 # exact Mattson curve on every registered benchmark and spot-check the
-# exact curve against full cache simulation; the CLI run exercises the
+# exact curve against full cache simulation; the engine tests hold the
+# exact engine to a naive Mattson stack across Fenwick growth steps and
+# pin construction cost and the access budget; the CLI run exercises the
 # experiment end to end (curves for two benchmarks, both columns).
 mrc-smoke:
+	$(GO) test -run 'TestEngineMatchesNaiveStack|TestNewCostIndependentOfBudget|TestBudgetPanic' -count=1 ./internal/mrc
 	$(GO) test -run 'TestMRCShardsTolerance|TestMRCMatchesSimulation' -count=1 ./internal/exp
 	$(GO) run ./cmd/ldisexp -accesses 120000 -benchmarks sixtrack,health mrc > /dev/null
 
@@ -255,9 +258,10 @@ govulncheck:
 		echo "govulncheck not installed; skipping (advisory only)"; \
 	fi
 
-# Go testing benchmarks (per-figure, hot-path, and scheduler fan-out).
+# Go testing benchmarks (per-figure, hot-path, scheduler fan-out, and
+# the MRC engine's per-access cost).
 microbench:
-	$(GO) test -bench=. -benchmem -run=^$$ .
+	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/mrc
 
 # Measure: write a fresh throughput snapshot to benchmarks/latest.
 bench:

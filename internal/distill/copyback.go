@@ -28,9 +28,9 @@ type CopyBackConfig struct {
 	// MaxSamples bounds the predictor's tracked lines (SHARDS
 	// fixed-size mode). Default 8192.
 	MaxSamples int
-	// AccessBudget sizes the predictor's logical clock. Default 1<<22
-	// observed accesses; past the budget the predictor freezes (stops
-	// observing, keeps answering) instead of growing.
+	// AccessBudget is the predictor's freeze point, counted in observed
+	// demand accesses (sampled in or not). Default 1<<22; past it the
+	// predictor stops observing and keeps answering.
 	AccessBudget int
 	// Seed perturbs the predictor's spatial hash.
 	Seed uint64

@@ -1,6 +1,7 @@
 package distill
 
 import (
+	"runtime"
 	"testing"
 
 	"ldis/internal/mem"
@@ -110,4 +111,23 @@ func TestCopyBackPathZeroAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("copy-back path allocates %.1f/op", n)
 	}
+}
+
+// TestCopyBackConstructionCost pins what a copy-back cache costs to
+// build with the default predictor (1<<22 access budget): the
+// predictor's Fenwick tree grows with its clock instead of being sized
+// to the budget, so a small cache builds in well under 1 MiB.
+func TestCopyBackConstructionCost(t *testing.T) {
+	cfg := Config{
+		Name: "cb", SizeBytes: 64 * 8 * mem.LineSize, Ways: 8, WOCWays: 2, Seed: 1,
+		CopyBack: &CopyBackConfig{},
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := New(cfg)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("New with default copy-back allocated %d bytes, want < 1 MiB", got)
+	}
+	runtime.KeepAlive(c)
 }

@@ -1,6 +1,7 @@
 package mrc
 
 import (
+	"runtime"
 	"testing"
 
 	"ldis/internal/mem"
@@ -41,4 +42,22 @@ func TestAccessAllocs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestNewCostIndependentOfBudget pins construction cost: the Fenwick
+// tree starts small and grows with the clock, so an engine built with
+// the copy-back predictor's default 1<<22 access budget allocates well
+// under 1 MiB instead of two budget-sized trees.
+func TestNewCostIndependentOfBudget(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e, err := New(Config{SampleRate: 0.25, MaxSamples: 8192}, 1<<22)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("New with a 1<<22 budget allocated %d bytes, want < 1 MiB", got)
+	}
+	runtime.KeepAlive(e)
 }

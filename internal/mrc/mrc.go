@@ -121,8 +121,8 @@ type Engine struct {
 	invR      float64
 
 	now    int // logical time of the latest tracked access
-	fwLine fenwick
-	fwWord fenwick
+	budget int // tracked accesses allowed; caps the Fenwick tree
+	fw     fenwick
 	tab    lineTable
 	heap   sampleHeap
 
@@ -148,8 +148,12 @@ type Engine struct {
 	obsLiveWord *obs.Gauge
 }
 
-// New returns an Engine able to ingest up to maxAccesses calls to
-// Access.
+// New returns an Engine able to track up to maxAccesses accesses:
+// only accesses that pass the SHARDS sampling gate count against the
+// budget, and one more panics. The budget caps the Fenwick tree over
+// logical time rather than sizing it — the tree starts small and
+// doubles as the clock advances — so a generous budget costs nothing
+// up front.
 func New(cfg Config, maxAccesses int) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -161,9 +165,9 @@ func New(cfg Config, maxAccesses int) (*Engine, error) {
 	e := &Engine{
 		cfg:     cfg,
 		buckets: cfg.MaxBytes / cfg.ResolutionBytes,
+		budget:  maxAccesses,
 		tab:     newLineTable(),
-		fwLine:  newFenwick(maxAccesses),
-		fwWord:  newFenwick(maxAccesses),
+		fw:      newFenwick(maxAccesses),
 		invR:    1,
 	}
 	if cfg.SampleRate < 1 {
@@ -185,8 +189,9 @@ func New(cfg Config, maxAccesses int) (*Engine, error) {
 }
 
 // Access feeds one data access (line, word-in-line) through the
-// Mattson stack. The per-access cost is two O(log M) Fenwick queries
-// plus an O(1) open-addressing probe; no allocation.
+// Mattson stack. The per-access cost is at most three O(log M) walks
+// of one Fenwick tree plus an O(1) open-addressing probe; no
+// allocation outside the tree's amortized doubling.
 //
 //ldis:noalloc
 func (e *Engine) Access(line mem.LineAddr, word int) {
@@ -202,8 +207,11 @@ func (e *Engine) Access(line mem.LineAddr, word int) {
 	e.tracked++
 	e.obsSampled.Inc()
 	t := e.now + 1
-	if t >= len(e.fwLine.tree) {
-		panic("mrc: access budget exceeded; size New with the full trace length")
+	if t >= len(e.fw.tree) {
+		if t > e.budget {
+			panic("mrc: access budget exceeded; size New with the full trace length")
+		}
+		e.fw.grow(e.budget)
 	}
 	e.now = t
 	if t&0xFFFF == 0 {
@@ -218,17 +226,14 @@ func (e *Engine) Access(line mem.LineAddr, word int) {
 		nfp := e.tab.fp[idx].Set(word)
 		newSlots := int32(mem.Pow2WordsFor(nfp.Count()))
 
-		otherLines := e.fwLine.prefix(t-1) - e.fwLine.prefix(p)
-		otherSlots := e.fwWord.prefix(t-1) - e.fwWord.prefix(p)
+		otherLines, otherSlots := e.fw.after(p)
 		dLine := float64(otherLines+1) * mem.LineSize * e.invR
 		dWord := float64(otherSlots+int64(newSlots)) * mem.WordSize * e.invR
 		e.record(e.histLine, dLine)
 		e.record(e.histWord, dWord)
 
-		e.fwLine.add(p, -1)
-		e.fwWord.add(p, -oldSlots)
-		e.fwLine.add(t, 1)
-		e.fwWord.add(t, newSlots)
+		e.fw.add(p, -1, -oldSlots)
+		e.fw.add(t, 1, newSlots)
 		e.tab.pos[idx] = int32(t)
 		e.tab.fp[idx] = nfp
 		return
@@ -237,8 +242,7 @@ func (e *Engine) Access(line mem.LineAddr, word int) {
 	// First touch: a compulsory miss at every capacity.
 	e.cold += e.invR
 	nfp := mem.FootprintOfWord(word)
-	e.fwLine.add(t, 1)
-	e.fwWord.add(t, int32(mem.Pow2WordsFor(1)))
+	e.fw.add(t, 1, int32(mem.Pow2WordsFor(1)))
 	idx := e.tab.insert(key)
 	e.tab.pos[idx] = int32(t)
 	e.tab.fp[idx] = nfp
@@ -292,9 +296,7 @@ func (e *Engine) evict(key uint64) {
 	if idx < 0 || e.tab.pos[idx] == 0 {
 		return
 	}
-	p := int(e.tab.pos[idx])
-	e.fwLine.add(p, -1)
-	e.fwWord.add(p, -int32(mem.Pow2WordsFor(e.tab.fp[idx].Count())))
+	e.fw.add(int(e.tab.pos[idx]), -1, -int32(mem.Pow2WordsFor(e.tab.fp[idx].Count())))
 	e.tab.pos[idx] = 0
 }
 
@@ -420,8 +422,7 @@ func (e *Engine) CurrentLineDistanceBytes(line mem.LineAddr) (bytes float64, ok 
 	if idx < 0 || e.tab.pos[idx] == 0 {
 		return 0, false
 	}
-	p := int(e.tab.pos[idx])
-	other := e.fwLine.prefix(e.now) - e.fwLine.prefix(p)
+	other, _ := e.fw.after(int(e.tab.pos[idx]))
 	return float64(other+1) * mem.LineSize * e.invR, true
 }
 

@@ -322,6 +322,26 @@ func TestBudgetPanic(t *testing.T) {
 	e.Access(3, 0)
 }
 
+// TestBudgetPanicAfterGrowth pins the budget check on the growth path:
+// a budget above the tree's initial size is reached only after the
+// tree has grown to it, and the access after that still panics.
+func TestBudgetPanicAfterGrowth(t *testing.T) {
+	const budget = initialPositions + 3
+	e := mustNew(t, Config{}, budget)
+	for i := 0; i < budget; i++ {
+		e.Access(mem.LineAddr(i%64), 0)
+	}
+	if got := len(e.fw.tree) - 1; got != budget {
+		t.Fatalf("tree covers %d positions after %d accesses, want %d", got, budget, budget)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("access beyond the grown budget did not panic")
+		}
+	}()
+	e.Access(1, 0)
+}
+
 // TestCurrentLineDistanceBytes checks the read-only point query that
 // feeds the distill cache's copy-back predictor. Trace A B C: A's
 // current inclusive distance is 3 lines, the MRU line's is 1, a line

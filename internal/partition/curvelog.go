@@ -158,9 +158,10 @@ func NewRecorder(cfg Config) (*Recorder, error) {
 		// engine (SampleRate ≥ 1, used by tests) takes no sample cap.
 		ecfg.MaxSamples = cfg.maxSamples()
 	}
-	// Engines are sized with the full budget: interleaving usually
-	// splits accesses evenly, but nothing stops one tenant's stream
-	// from dominating, and an undersized Fenwick tree panics.
+	// Every engine gets the full budget: interleaving usually splits
+	// accesses evenly, but nothing stops one tenant's stream from
+	// dominating, and an engine past its budget panics. The budget
+	// only caps each engine's Fenwick tree, which grows with its clock.
 	for t := 0; t < n; t++ {
 		ecfg.Seed = cfg.Seed + uint64(t)*0x9e3779b97f4a7c15
 		eng, err := mrc.New(ecfg, cfg.AccessBudget)
