@@ -2,7 +2,7 @@
 #
 # `make check` is the tier-1 gate: build, vet, lint, tests.
 # `make lint` runs the project's own analyzer suite (cmd/ldislint):
-# noalloc, detrange, nowallclock, gridpure, sharddisjoint,
+# noalloc, detrange, nowallclock, gridpure, cellconfined,
 # atomicplain, boundedgo — the determinism, zero-allocation, and
 # concurrency-safety invariants enforced at compile time.
 # `make lint-vet` runs the same suite through `go vet -vettool`, which
@@ -17,9 +17,9 @@
 # experiment engine fans (benchmark × configuration) cells out across
 # worker goroutines, so the suite doubles as a scheduler race test).
 # `make test-race` is the focused race gate CI runs as its own job:
-# the shard/batch equivalence matrix (internal/hierarchy), the
-# bounded-parallelism pools (internal/par), and the concurrent
-# observability registry (internal/obs).
+# the hierarchy harness (internal/hierarchy), the bounded-parallelism
+# pools (internal/par), the concurrent observability registry
+# (internal/obs), and the ldisd service (internal/server).
 # `make bench-smoke` writes a short throughput run to benchmarks/latest.
 # `make perfbench-smoke` runs the repository benchmark's own tests and
 # one short sweep pass and one short tenants pass, which exit nonzero
@@ -137,10 +137,9 @@ check: build vet lint test
 race:
 	$(GO) test -race ./...
 
-# Focused race gate: the packages whose concurrency the sharddisjoint,
+# Focused race gate: the packages whose concurrency the cellconfined,
 # atomicplain, and boundedgo analyzers reason about, under the dynamic
-# detector. The shard/batch equivalence tests in internal/hierarchy
-# drive every worker count the static proofs cover.
+# detector.
 test-race:
 	$(GO) test -race ./internal/hierarchy/... ./internal/par/... ./internal/obs/... \
 		./internal/server/...

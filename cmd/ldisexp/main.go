@@ -29,7 +29,6 @@ import (
 	"ldis/internal/exp"
 	"ldis/internal/obs"
 	"ldis/internal/stats"
-	"ldis/internal/trace"
 )
 
 func main() {
@@ -40,8 +39,6 @@ func main() {
 	markdown := flag.Bool("markdown", false, "emit tables as markdown")
 	csv := flag.Bool("csv", false, "emit tables as CSV")
 	parallel := flag.Int("parallel", 0, "worker goroutines for (benchmark × configuration) cells (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "split each shardable cell's cache state across this many workers by line-address hash; power of two, results byte-identical (0 = sequential)")
-	batch := flag.Int("batch", 0, "record-block size of the batched access pipeline (0 = default "+fmt.Sprint(trace.DefaultBatchSize)+")")
 	outDir := flag.String("out", "", "also write each experiment's tables to <dir>/<id>.txt (or .md/.csv per format flag)")
 	resume := flag.Bool("resume", false, "checkpoint completed cells to <out>/"+exp.CheckpointFile+" and replay them on restart (requires -out)")
 	keepGoing := flag.Bool("keep-going", false, "run every cell to completion; report failed cells in a table and exit nonzero instead of aborting at the first failure")
@@ -80,8 +77,6 @@ func main() {
 	o.Accesses = *accesses
 	o.WarmupFrac = *warmup
 	o.Parallel = *parallel
-	o.Shards = *shards
-	o.BatchSize = *batch
 	o.Retries = *retries
 	o.FaultSeed = *faultSeed
 	if *benchmarks != "" {
@@ -189,10 +184,6 @@ func main() {
 		report.Workers = report.GoMaxProcs
 	}
 	if *throughput != "" {
-		report.Shards = *shards
-		if report.Shards < 1 {
-			report.Shards = 1
-		}
 		report.Repeats = *benchRepeats
 		// Throughput mode measures the simulator, not the collector: the
 		// hot path is allocation-free, so the only GC work is scanning the

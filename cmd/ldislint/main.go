@@ -1,6 +1,6 @@
 // Ldislint is the simulator's static-analysis gate: a multichecker
 // over the analyzers in internal/analysis (noalloc, detrange,
-// nowallclock, gridpure, sharddisjoint, atomicplain, boundedgo) that
+// nowallclock, gridpure, cellconfined, atomicplain, boundedgo) that
 // enforces the determinism, zero-allocation, and concurrency-safety
 // invariants the experiment engine depends on.
 //
@@ -10,8 +10,8 @@
 //	                          standalone whole-module run (default
 //	                          ./...); analyzes every module package in
 //	                          dependency order so cross-package facts
-//	                          (noalloc clean summaries, sharddisjoint
-//	                          confinement, atomicplain locations) are
+//	                          (noalloc clean summaries, cellconfined
+//	                          summaries, atomicplain locations) are
 //	                          available. This is what `make lint` runs
 //	                          and it is the authoritative gate.
 //

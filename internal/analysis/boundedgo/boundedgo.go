@@ -4,9 +4,9 @@
 // carry a justified //ldis:goroutine-ok directive.
 //
 // The determinism and observability contracts both assume goroutine
-// lifetimes nest inside the call that launched them: RunSharded and
-// internal/par's Map bound their workers with a WaitGroup, so when Run
-// returns, no concurrent writer of shard or counter state survives. A
+// lifetimes nest inside the call that launched them: internal/par's
+// Map bounds its workers with a WaitGroup, so when Run returns, no
+// concurrent writer of cell or counter state survives. A
 // fire-and-forget `go` breaks that silently — the leaked goroutine
 // races with the next run's state, shows up only under -race and only
 // when the schedule cooperates, and caps -parallel scaling with an
@@ -14,8 +14,7 @@
 // launch through internal/par's bounded helpers (themselves verified
 // by this check), track the goroutine with an Add/Wait pair in the
 // same function, or justify the exception where a daemon really is
-// intended (the obs HTTP listener, the sharded runner's draining
-// goroutine whose channel close bounds it).
+// intended (the obs HTTP listener).
 //
 // cmd/ entered the scope when ldisd arrived: a long-running service's
 // listener and drainer goroutines carry exactly the leak risks the

@@ -38,8 +38,8 @@ var Packages = []string{
 	"ldis/internal/faultinject",
 	"ldis/internal/mrc",
 	"ldis/internal/obs",
-	// The shard scheduler and merge path: per-shard results must merge
-	// identically at any scheduling, so map iteration is off-limits.
+	// The hierarchy harness: its measurement-window counters land in
+	// rendered tables, so iteration order could reach output.
 	"ldis/internal/hierarchy",
 	// The partition controller: epoch decisions (allocations, agreement
 	// counters) land in rendered tables, so iteration order is output

@@ -15,10 +15,6 @@ import (
 //	//ldis:noalloc
 //	    On a function's doc comment: the function and everything it
 //	    transitively calls within the module must not allocate.
-//	//ldis:shard-owned
-//	    On a struct field: the field is a per-shard counter — written
-//	    only by shard-confined code, merged by the MergeShard
-//	    discipline (see the sharddisjoint analyzer).
 //	//ldis:alloc-ok <justification>
 //	    On (or immediately above) a flagged line: suppresses noalloc
 //	    diagnostics for that line. The justification is mandatory.
@@ -26,18 +22,17 @@ import (
 //	    On (or immediately above) a flagged line: suppresses detrange,
 //	    nowallclock, and gridpure diagnostics for that line. The
 //	    justification is mandatory.
-//	//ldis:shard-ok <justification>
-//	    Suppresses sharddisjoint diagnostics for that line.
+//	//ldis:confined-ok <justification>
+//	    Suppresses cellconfined diagnostics for that line.
 //	//ldis:atomic-ok <justification>
 //	    Suppresses atomicplain diagnostics for that line.
 //	//ldis:goroutine-ok <justification>
 //	    Suppresses boundedgo diagnostics for that line.
 const (
 	DirNoalloc     = "noalloc"
-	DirShardOwned  = "shard-owned"
 	DirAllocOK     = "alloc-ok"
 	DirNondetOK    = "nondet-ok"
-	DirShardOK     = "shard-ok"
+	DirConfinedOK  = "confined-ok"
 	DirAtomicOK    = "atomic-ok"
 	DirGoroutineOK = "goroutine-ok"
 	directivePfx   = "ldis:"
@@ -49,7 +44,7 @@ const (
 var suppressionDirs = map[string]bool{
 	DirAllocOK:     true,
 	DirNondetOK:    true,
-	DirShardOK:     true,
+	DirConfinedOK:  true,
 	DirAtomicOK:    true,
 	DirGoroutineOK: true,
 }
@@ -57,8 +52,7 @@ var suppressionDirs = map[string]bool{
 // annotationDirs are the directive names that mark a declaration for
 // an analyzer rather than suppressing a diagnostic.
 var annotationDirs = map[string]bool{
-	DirNoalloc:    true,
-	DirShardOwned: true,
+	DirNoalloc: true,
 }
 
 // SuppressionDirective reports whether name is a suppression
@@ -170,24 +164,18 @@ func (d *Directives) Suppressed(pos token.Pos, name string) bool {
 	return ok && dir.Reason != ""
 }
 
-// DeclHas reports whether the doc comment carries the named directive
-// (e.g. //ldis:noalloc on a function, //ldis:shard-owned on a field).
-func DeclHas(doc *ast.CommentGroup, name string) bool {
-	if doc == nil {
+// FuncHas reports whether fn's doc comment carries the named
+// directive (e.g. //ldis:noalloc).
+func (d *Directives) FuncHas(fn *ast.FuncDecl, name string) bool {
+	if fn.Doc == nil {
 		return false
 	}
-	for _, c := range doc.List {
+	for _, c := range fn.Doc.List {
 		if got, _, ok := parseDirective(c.Text); ok && got == name {
 			return true
 		}
 	}
 	return false
-}
-
-// FuncHas reports whether fn's doc comment carries the named
-// directive (e.g. //ldis:noalloc).
-func (d *Directives) FuncHas(fn *ast.FuncDecl, name string) bool {
-	return DeclHas(fn.Doc, name)
 }
 
 // CheckJustifications reports every suppression directive of the given

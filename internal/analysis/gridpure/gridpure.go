@@ -33,7 +33,7 @@ import (
 // Analyzer is the gridpure analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "gridpure",
-	Doc:  "cell functions passed to par.Map/Grid/MapPolicy/GridPolicy (or the exp.runGrid/runNamedGrid/mapBenchmarks wrappers and the hierarchy.RunSharded shard scheduler over them) must not write captured variables (except distinct slice elements)",
+	Doc:  "cell functions passed to par.Map/Grid/MapPolicy/GridPolicy (or the exp.runGrid/runNamedGrid/mapBenchmarks wrappers over them) must not write captured variables (except distinct slice elements)",
 	Run:  run,
 }
 
@@ -49,13 +49,6 @@ var cellTakers = map[string]map[string]bool{
 	"ldis/internal/exp": {
 		"runGrid": true, "runNamedGrid": true, "mapBenchmarks": true,
 		"runOrgGrid": true,
-	},
-	// The intra-run shard scheduler: its trailing build closure runs
-	// once per shard and the systems it returns are driven
-	// concurrently, so it carries the same purity contract as a grid
-	// cell.
-	"ldis/internal/hierarchy": {
-		"RunSharded": true,
 	},
 }
 

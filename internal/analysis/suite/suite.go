@@ -6,11 +6,11 @@ import (
 	"ldis/internal/analysis"
 	"ldis/internal/analysis/atomicplain"
 	"ldis/internal/analysis/boundedgo"
+	"ldis/internal/analysis/cellconfined"
 	"ldis/internal/analysis/detrange"
 	"ldis/internal/analysis/gridpure"
 	"ldis/internal/analysis/noalloc"
 	"ldis/internal/analysis/nowallclock"
-	"ldis/internal/analysis/sharddisjoint"
 )
 
 // All lists every analyzer ldislint runs, in reporting order.
@@ -19,7 +19,7 @@ var All = []*analysis.Analyzer{
 	detrange.Analyzer,
 	nowallclock.Analyzer,
 	gridpure.Analyzer,
-	sharddisjoint.Analyzer,
+	cellconfined.Analyzer,
 	atomicplain.Analyzer,
 	boundedgo.Analyzer,
 }

@@ -47,7 +47,6 @@ type Report struct {
 	Generated  string  `json:"generated"`
 	GoMaxProcs int     `json:"go_max_procs"`
 	Workers    int     `json:"workers"`
-	Shards     int     `json:"shards,omitempty"`
 	Repeats    int     `json:"repeats,omitempty"`
 	Accesses   int     `json:"accesses"`
 	Total      Entry   `json:"total"`

@@ -73,18 +73,16 @@ type Line struct {
 
 // Stats aggregates the cache's behaviour.
 type Stats struct {
-	Accesses   uint64 //ldis:shard-owned
-	Hits       uint64 //ldis:shard-owned
-	Misses     uint64 //ldis:shard-owned
-	Evictions  uint64 //ldis:shard-owned
-	Writebacks uint64 //ldis:shard-owned
+	Accesses   uint64
+	Hits       uint64
+	Misses     uint64
+	Evictions  uint64
+	Writebacks uint64
 
-	// Way-memoization counters (Config.WayMemo; zero otherwise). The
-	// memo buffer is per-set state, so these stay shard-owned and sum
-	// exactly under the shard merge.
-	MemoRefs          uint64 //ldis:shard-owned
-	MemoHits          uint64 //ldis:shard-owned
-	MemoProbesSkipped uint64 //ldis:shard-owned
+	// Way-memoization counters (Config.WayMemo; zero otherwise).
+	MemoRefs          uint64
+	MemoHits          uint64
+	MemoProbesSkipped uint64
 
 	// WordsUsedAtEvict histograms footprint popcounts of evicted lines
 	// (buckets 0..8); bucket 0 stays empty because installs mark the
@@ -127,7 +125,7 @@ type Cache struct {
 
 	// Way-memoization state (Config.WayMemo; nil when disabled): one
 	// tag arena of EntriesPerSet slots per set, plus a per-set validity
-	// bitmask. Strictly per-set, so sharding composes untouched.
+	// bitmask.
 	memoTags  []uint64
 	memoValid []uint64
 	memoEPS   int
@@ -350,22 +348,4 @@ func (c *Cache) VisitLines(fn func(line mem.LineAddr, fp mem.Footprint)) {
 			}
 		}
 	}
-}
-
-// Merge folds a sibling shard's counters into s: shards partition the
-// line-address space, so plain sums (and bucket-wise histogram sums)
-// reproduce the sequential totals exactly.
-//
-//ldis:noalloc
-func (s *Stats) Merge(o *Stats) {
-	s.Accesses += o.Accesses
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Evictions += o.Evictions
-	s.Writebacks += o.Writebacks
-	s.MemoRefs += o.MemoRefs
-	s.MemoHits += o.MemoHits
-	s.MemoProbesSkipped += o.MemoProbesSkipped
-	s.WordsUsedAtEvict.Merge(o.WordsUsedAtEvict)
-	s.FPChangePos.Merge(o.FPChangePos)
 }

@@ -15,9 +15,7 @@ import (
 // it changes is the energy story, priced by costmodel.WayMemoEnergy
 // from the hit/skip counters.
 //
-// The memo is strictly per-set state keyed by a pure tag hash, so a
-// memoized traditional cache remains shard-exact: set-interleaved
-// sharding reproduces the sequential counters bit for bit.
+// The memo is strictly per-set state keyed by a pure tag hash.
 type WayMemoConfig struct {
 	// EntriesPerSet is the memo buffer's entry count per cache set
 	// (power of two in [1, 64]; default 4). An incoming tag maps to
@@ -43,8 +41,7 @@ func (c WayMemoConfig) Validate() error {
 }
 
 // memoSlot maps a tag to its memo entry within a set: a fixed
-// multiplicative hash, so the mapping is a pure function of the tag
-// and sharding cannot perturb it.
+// multiplicative hash, so the mapping is a pure function of the tag.
 func (c *Cache) memoSlot(tag uint64) int {
 	return int((tag * 0x9e3779b97f4a7c15) >> c.memoShift)
 }

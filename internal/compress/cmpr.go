@@ -208,17 +208,3 @@ func FACSlots(vals *values.Model) func(line mem.LineAddr, used mem.Footprint) in
 		return SegmentsFor(LineBits(vals, line, used))
 	}
 }
-
-// Merge folds a sibling shard's counters into s: shards partition the
-// line-address space, so plain sums (and bucket-wise histogram sums)
-// reproduce the sequential totals exactly.
-//
-//ldis:noalloc
-func (s *CMPRStats) Merge(o *CMPRStats) {
-	s.Accesses += o.Accesses
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Evictions += o.Evictions
-	s.Writebacks += o.Writebacks
-	s.SegmentsHist.Merge(o.SegmentsHist)
-}

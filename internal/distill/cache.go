@@ -199,8 +199,8 @@ func New(cfg Config) *Cache {
 	}
 	if cfg.Touche != nil {
 		c.touche = wordstore.NewToucheTags(*cfg.Touche, cfg.WOCWays)
-		// Route the filter's counters into this cache's Stats so shard
-		// merging folds them like every other counter.
+		// Route the filter's counters into this cache's Stats, so they
+		// are reported with every other counter.
 		c.touche.Stats = &c.st.Touche
 	}
 	if cfg.CopyBack != nil {
@@ -751,31 +751,4 @@ func (c *Cache) CheckInvariants() error {
 		}
 	}
 	return nil
-}
-
-// Merge folds a sibling shard's counters into s: shards partition the
-// line-address space, so plain sums (and bucket-wise histogram sums)
-// reproduce the sequential totals exactly. Only shard-exact
-// configurations (Config.ShardExact) are ever run sharded.
-//
-//ldis:noalloc
-func (s *Stats) Merge(o *Stats) {
-	s.Accesses += o.Accesses
-	s.LOCHits += o.LOCHits
-	s.WOCHits += o.WOCHits
-	s.HoleMisses += o.HoleMisses
-	s.LineMisses += o.LineMisses
-	s.Writebacks += o.Writebacks
-	s.Distilled += o.Distilled
-	s.ThresholdSkips += o.ThresholdSkips
-	s.TradEvictions += o.TradEvictions
-	s.InstrEvictions += o.InstrEvictions
-	s.WOCEvictions += o.WOCEvictions
-	s.ModeSwitches += o.ModeSwitches
-	s.Touche.Merge(o.Touche)
-	s.CopyBacks += o.CopyBacks
-	s.CopyBackFar += o.CopyBackFar
-	s.CopyBackCold += o.CopyBackCold
-	s.WordsUsedAtEvict.Merge(o.WordsUsedAtEvict)
-	s.FPChangePos.Merge(o.FPChangePos)
 }

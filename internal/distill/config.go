@@ -152,31 +152,3 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
-
-// ShardExact reports whether this configuration's results are a pure
-// function of per-set access order, i.e. whether line-address sharding
-// reproduces the sequential run byte for byte. The disqualifiers are
-// the features that couple sets through global state:
-//
-//   - MedianThreshold: one median filter fed by every set's evictions
-//     in global order.
-//   - Reverter: a global PSEL counter and sampler fed by leader sets.
-//   - FootprintNoise: consumes the cache-global RNG stream, whose
-//     sequence depends on cross-set interleaving.
-//   - random WOC replacement (WOCLRU false): same RNG coupling on
-//     every distill.
-//   - Slots: an extension hook whose purity this package cannot see.
-//   - CopyBack: its reuse predictor is one Mattson stack fed by every
-//     set's accesses in global order, so predictions (and therefore
-//     WOC contents) depend on cross-set interleaving.
-//
-// The WOC-LRU tick counter is global but harmless: only the relative
-// order of LastUse stamps within one set matters, and per-shard
-// processing preserves per-set program order. Touché compressed tags
-// are likewise shard-neutral: signatures and checksums are pure
-// functions of (tag, seed), and the install filter touches only the
-// accessed set.
-func (c Config) ShardExact() bool {
-	return !c.MedianThreshold && !c.Reverter && c.FootprintNoise == 0 &&
-		c.WOCLRU && c.Slots == nil && c.CopyBack == nil
-}

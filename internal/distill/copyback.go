@@ -71,8 +71,7 @@ func (c CopyBackConfig) Validate() error {
 
 // copyBack is the runtime predictor: one SHARDS-sampled Mattson stack
 // observing the cache's demand stream, queried read-only at L1
-// clean-victim time. Global across sets — the reason CopyBack
-// disqualifies Config.ShardExact.
+// clean-victim time. Global across sets.
 type copyBack struct {
 	eng      *mrc.Engine
 	maxBytes float64

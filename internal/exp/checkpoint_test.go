@@ -147,6 +147,34 @@ func TestCheckpointRejectsDifferentOptions(t *testing.T) {
 	ck2.Close()
 }
 
+// TestCheckpointFingerprintPinned pins the options fingerprint to
+// literal values, so a change to Options or to the hash input cannot
+// silently orphan existing checkpoints: every file written by an
+// earlier build must keep replaying.
+func TestCheckpointFingerprintPinned(t *testing.T) {
+	custom := Options{
+		Accesses: 250_000, WarmupFrac: 0.2, Benchmarks: []string{"mcf", "twolf"},
+		MRCSampleRate: 0.05, MRCMaxSamples: 4096, MRCResolution: 128 << 10, MRCMaxBytes: 2 << 20,
+		Tenants: []string{"twolf", "mcf"}, PartitionPolicy: "ucp", EpochAccesses: 8000,
+		OrgToucheSBLines: 8, OrgCopyBackMaxReuse: 512 << 10, OrgWayMemoEntries: 8,
+	}
+	if err := custom.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		o    Options
+		want uint64
+	}{
+		{"default", DefaultOptions(), 0x5c5b049a4c6b4581},
+		{"custom", custom, 0x97910d1d832e9744},
+	} {
+		if got := c.o.Fingerprint(); got != c.want {
+			t.Errorf("%s: Fingerprint() = %#x, want %#x", c.name, got, c.want)
+		}
+	}
+}
+
 // TestCheckpointFaultedSweepResumes: an actual mid-sweep crash — a
 // deterministic injected panic aborting the fail-fast run — leaves a
 // usable checkpoint; resuming after the "fix" (no injection) completes

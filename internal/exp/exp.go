@@ -35,17 +35,6 @@ type Options struct {
 	// configuration) simulation cells concurrently; 0 means GOMAXPROCS.
 	// Results are deterministic regardless of the setting.
 	Parallel int
-	// Shards splits each shardable cell's cache state across this many
-	// workers by line-address hash; 0 or 1 means sequential. Must be a
-	// power of two at most hierarchy.MaxShards. Shard-exact
-	// organizations produce byte-identical results at any setting (the
-	// equivalence is enforced by tests), so Shards — like Parallel — is
-	// a scheduling knob, excluded from Fingerprint and ManifestParams.
-	Shards int
-	// BatchSize is the record-block size of the batched access
-	// pipeline; 0 means trace.DefaultBatchSize. It cannot change
-	// results and is likewise excluded from the fingerprint.
-	BatchSize int
 
 	// KeepGoing runs every cell to completion instead of aborting the
 	// sweep at the first failure. Failed cells are recorded in
@@ -135,20 +124,6 @@ func (o Options) benchmarks() []string {
 
 func (o Options) warmup() int  { return int(float64(o.Accesses) * o.WarmupFrac) }
 func (o Options) measure() int { return o.Accesses - o.warmup() }
-
-func (o Options) shards() int {
-	if o.Shards <= 1 {
-		return 1
-	}
-	return o.Shards
-}
-
-func (o Options) batchSize() int {
-	if o.BatchSize == 0 {
-		return trace.DefaultBatchSize
-	}
-	return o.BatchSize
-}
 
 // mrc option accessors: zero means "default", and the same defaulted
 // values feed both the engine configs and the checkpoint fingerprint,
@@ -248,12 +223,6 @@ func (o *Options) Validate() error {
 	}
 	if o.Parallel < 0 {
 		bad("Parallel", "must be >= 0, got %d", o.Parallel)
-	}
-	if o.Shards < 0 || o.Shards > hierarchy.MaxShards || (o.Shards > 0 && o.Shards&(o.Shards-1) != 0) {
-		bad("Shards", "must be a power of two in [1, %d], or 0 for sequential; got %d", hierarchy.MaxShards, o.Shards)
-	}
-	if o.BatchSize < 0 {
-		bad("BatchSize", "must be >= 0, got %d", o.BatchSize)
 	}
 	if o.Retries < 0 {
 		bad("Retries", "must be >= 0, got %d", o.Retries)
@@ -369,12 +338,6 @@ func (t *timedStream) NextBatch(dst []trace.Record) int {
 	return n
 }
 
-// cellStream builds the timed batch stream for one cell, reading the
-// row's shared trace when it has one.
-func cellStream(prof *benchmark, co *obs.Cell) *timedStream {
-	return &timedStream{bs: trace.Batched(prof.Stream()), sp: co.Spans()}
-}
-
 // blockSource yields a cell's records block by block: each call
 // returns the next want records, fewer only when the trace ends.
 type blockSource func(want int) []trace.Record
@@ -383,7 +346,7 @@ type blockSource func(want int) []trace.Record
 // zero-copy sub-slices of its trace; otherwise blocks are refilled
 // from the cell's own timed stream. Either way each block is one
 // decode span, so manifests do not depend on whether a row was shared.
-func cellBlocks(prof *benchmark, o Options, co *obs.Cell) blockSource {
+func cellBlocks(prof *benchmark, co *obs.Cell) blockSource {
 	if recs := prof.shared(); recs != nil {
 		sp := co.Spans()
 		return func(want int) []trace.Record {
@@ -395,17 +358,18 @@ func cellBlocks(prof *benchmark, o Options, co *obs.Cell) blockSource {
 			return blk
 		}
 	}
-	bs := cellStream(prof, co)
-	buf := make([]trace.Record, o.batchSize())
+	bs := &timedStream{bs: trace.Batched(prof.Stream()), sp: co.Spans()}
+	buf := make([]trace.Record, trace.DefaultBatchSize)
 	return func(want int) []trace.Record { return buf[:bs.NextBatch(buf[:want])] }
 }
 
 // drive feeds up to n records from next into do in blocks of at most
-// batch records, returning the count fed (short when the trace ends).
-func drive(next blockSource, batch, n int, do func([]trace.Record)) int {
+// trace.DefaultBatchSize records, returning the count fed (short when
+// the trace ends).
+func drive(next blockSource, n int, do func([]trace.Record)) int {
 	done := 0
 	for done < n {
-		want := min(batch, n-done)
+		want := min(trace.DefaultBatchSize, n-done)
 		blk := next(want)
 		do(blk)
 		done += len(blk)
@@ -417,43 +381,23 @@ func drive(next blockSource, batch, n int, do func([]trace.Record)) int {
 }
 
 // runWindowed drives a benchmark through a system with warmup,
-// returning the measurement window. Records flow in o.batchSize()
-// blocks into System.DoBatch with the same block schedule —
-// ceil(warmup/B) then ceil(measure/B) blocks — as the sharded path, so
-// manifests agree on span counts either way.
+// returning the measurement window. Records flow in
+// trace.DefaultBatchSize blocks into System.DoBatch: ceil(warmup/B)
+// then ceil(measure/B) blocks.
 func runWindowed(sys *hierarchy.System, prof *benchmark, o Options, co *obs.Cell) *hierarchy.Window {
-	next := cellBlocks(prof, o, co)
-	n := drive(next, o.batchSize(), o.warmup(), sys.DoBatch)
+	next := cellBlocks(prof, co)
+	n := drive(next, o.warmup(), sys.DoBatch)
 	w := sys.StartWindow()
-	n += drive(next, o.batchSize(), o.measure(), sys.DoBatch)
+	n += drive(next, o.measure(), sys.DoBatch)
 	countSimAccesses(n)
 	return w
 }
 
-// runTradWindowed runs one traditional-cache cell, sharded across
-// o.Shards workers when requested. The traditional organization is
-// always shard-exact, so the sharded result is byte-identical to the
-// sequential one; it returns the measurement-window totals and the
-// (merged) cache.
+// runTradWindowed runs one traditional-cache cell and returns the
+// measurement-window totals and the cache.
 func runTradWindowed(cfg cache.Config, prof *benchmark, o Options, co *obs.Cell) (hierarchy.WindowTotals, *cache.Cache) {
-	if o.shards() == 1 {
-		sys, c := tradSystem(cfg, co)
-		return runWindowed(sys, prof, o, co).Totals(), c
-	}
-	run, err := hierarchy.RunSharded(o.shards(), o.batchSize(), o.warmup(), o.measure(), cellStream(prof, co),
-		func(shard int) *hierarchy.System {
-			sys, _ := tradSystem(cfg, co)
-			return sys
-		})
-	if err != nil {
-		// Options are validated and the traditional organization is
-		// shard-exact, so only a panicking shard worker lands here; the
-		// cell-isolation layer above turns the panic back into a cell
-		// failure.
-		panic(err)
-	}
-	countSimAccesses(run.Done)
-	return run.Window, run.Systems[0].L2.(*hierarchy.TradL2).C
+	sys, c := tradSystem(cfg, co)
+	return runWindowed(sys, prof, o, co).Totals(), c
 }
 
 // tradSystem builds a traditional-cache system with the cell's
@@ -470,8 +414,8 @@ func distillSystem(cfg distill.Config, co *obs.Cell) (*hierarchy.System, *distil
 	return hierarchy.Distill(cfg)
 }
 
-// baselineMPKI runs the 1MB 8-way baseline (sharded when o.Shards asks
-// for it) and returns the measurement-window totals.
+// baselineMPKI runs the 1MB 8-way baseline and returns the
+// measurement-window totals.
 func baselineMPKI(prof *benchmark, o Options, co *obs.Cell) (hierarchy.WindowTotals, *cache.Cache) {
 	return runTradWindowed(cache.Config{Name: "base-1MB", SizeBytes: 1 << 20, Ways: 8}, prof, o, co)
 }

@@ -58,10 +58,10 @@ func MRC(o Options) ([]MRCResult, error) {
 		if err != nil {
 			return mrcCell{}, err
 		}
-		next := cellBlocks(prof, o, co)
-		drive(next, o.batchSize(), o.warmup(), eng.AccessBatch)
+		next := cellBlocks(prof, co)
+		drive(next, o.warmup(), eng.AccessBatch)
 		eng.ResetCounts()
-		drive(next, o.batchSize(), o.measure(), eng.AccessBatch)
+		drive(next, o.measure(), eng.AccessBatch)
 		countSimAccesses(o.Accesses)
 		return mrcCell{
 			Line: eng.LineCurve("line " + label),

@@ -25,12 +25,6 @@ import (
 //	                 area, alias-safe misses instead of false hits;
 //	col 4  copyback  the distill cache with reuse-distance-gated clean
 //	                 copy-back of L1 victims (arXiv 2105.14442).
-//
-// The traditional columns are shard-exact and run sharded when
-// Options.Shards asks for it (the memo counters are per-set and merge
-// exactly); the distill columns run sequentially, as every distill
-// experiment does — distill.Config.ShardExact() declares the
-// limitation honestly (copy-back consults one global Mattson stack).
 
 // Orgs geometry: the paper's shared 1MB, 8-way, 64B-line L2.
 const (
@@ -62,34 +56,6 @@ func orgDistill(name string, seed uint64) distill.Config {
 	return distill.Config{
 		Name: name, SizeBytes: orgSizeBytes, Ways: orgWays, WOCWays: orgWOCWays, Seed: seed,
 	}
-}
-
-// runOrgTrad runs one traditional-organization cell, sharded when
-// requested, and returns the window totals plus the merged cache
-// statistics (shard-owned counters sum to exactly the sequential
-// values, so the memo accounting is byte-identical at any shard
-// count).
-func runOrgTrad(cfg cache.Config, prof *benchmark, o Options, co *obs.Cell) (hierarchy.WindowTotals, cache.Stats) {
-	if o.shards() == 1 {
-		sys, c := tradSystem(cfg, co)
-		w := runWindowed(sys, prof, o, co)
-		return w.Totals(), *c.Stats()
-	}
-	run, err := hierarchy.RunSharded(o.shards(), o.batchSize(), o.warmup(), o.measure(), cellStream(prof, co),
-		func(shard int) *hierarchy.System {
-			sys, _ := tradSystem(cfg, co)
-			return sys
-		})
-	if err != nil {
-		// Options are validated and the traditional organization is
-		// shard-exact; only a panicking shard worker lands here.
-		panic(err)
-	}
-	countSimAccesses(run.Done)
-	// RunSharded folds every sibling shard into Systems[0] before
-	// returning, and the memo counters are shard-owned per-set sums, so
-	// the merged statistics are byte-identical to the sequential run's.
-	return run.Window, *run.Systems[0].L2.(*hierarchy.TradL2).C.Stats()
 }
 
 // runOrgGrid is the orgs experiment's cell scheduler: a named wrapper
@@ -128,15 +94,15 @@ func orgCellRun(o Options, prof *benchmark, col int, co *obs.Cell) (orgCell, err
 	cell := orgCell{Org: orgColumns[col]}
 	switch cell.Org {
 	case "base":
-		tw, _ := runOrgTrad(cache.Config{Name: "orgs-base", SizeBytes: orgSizeBytes, Ways: orgWays}, prof, o, co)
-		cell.Totals = tw
+		cell.Totals, _ = runTradWindowed(cache.Config{Name: "orgs-base", SizeBytes: orgSizeBytes, Ways: orgWays}, prof, o, co)
 	case "waymemo":
 		cfg := cache.Config{
 			Name: "orgs-waymemo", SizeBytes: orgSizeBytes, Ways: orgWays,
 			WayMemo: &cache.WayMemoConfig{EntriesPerSet: o.orgWayMemoEntries()},
 		}
-		tw, st := runOrgTrad(cfg, prof, o, co)
+		tw, c := runTradWindowed(cfg, prof, o, co)
 		cell.Totals = tw
+		st := c.Stats()
 		cell.MemoRefs, cell.MemoHits, cell.MemoSkipped = st.MemoRefs, st.MemoHits, st.MemoProbesSkipped
 	case "ldis":
 		sys, _ := distillSystem(orgDistill("orgs-ldis", prof.Seed), co)

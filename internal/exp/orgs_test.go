@@ -162,9 +162,7 @@ func renderOrgs(rows []OrgsRow, o Options) string {
 }
 
 // TestOrgsDeterminism: the rendered tables are byte-identical across
-// worker counts, batch sizes, and shard counts (the traditional
-// columns shard; the distill columns fall back to sequential, which
-// distill.Config.ShardExact declares).
+// worker counts.
 func TestOrgsDeterminism(t *testing.T) {
 	base := Options{Accesses: 60_000, WarmupFrac: 0.25, Benchmarks: []string{"mcf", "twolf"}}
 	rows, err := Orgs(base)
@@ -175,9 +173,6 @@ func TestOrgsDeterminism(t *testing.T) {
 
 	variants := []Options{
 		{Accesses: base.Accesses, WarmupFrac: base.WarmupFrac, Benchmarks: base.Benchmarks, Parallel: 4},
-		{Accesses: base.Accesses, WarmupFrac: base.WarmupFrac, Benchmarks: base.Benchmarks, Parallel: 2, BatchSize: 512},
-		{Accesses: base.Accesses, WarmupFrac: base.WarmupFrac, Benchmarks: base.Benchmarks, Shards: 4},
-		{Accesses: base.Accesses, WarmupFrac: base.WarmupFrac, Benchmarks: base.Benchmarks, Parallel: 2, Shards: 2, BatchSize: 256},
 	}
 	for i, o := range variants {
 		rows, err := Orgs(o)
@@ -185,8 +180,7 @@ func TestOrgsDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := renderOrgs(rows, o); got != want {
-			t.Errorf("variant %d (parallel=%d shards=%d batch=%d) diverged from sequential output",
-				i, o.Parallel, o.Shards, o.BatchSize)
+			t.Errorf("variant %d (parallel=%d) diverged from sequential output", i, o.Parallel)
 		}
 	}
 }

@@ -47,8 +47,7 @@ const cellSep = "/"
 //
 // A row's cells share one materialized trace when it fits under
 // rowTraceCap (see rowtrace.go): fn reads it through the benchmark's
-// Stream method and the run helpers (runWindowed, cellBlocks,
-// cellStream).
+// Stream method and the run helpers (runWindowed, cellBlocks).
 //
 // fn's co argument is the cell's observability surface (nil when
 // Options.Obs is nil): fn wires it into the simulator configs it

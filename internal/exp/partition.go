@@ -255,7 +255,7 @@ func (s partitionScenario) mix(o Options) (trace.Stream, partition.Config, error
 // interleaving never loses a dry stream and a record's global position
 // modulo the tenant count identifies the issuing tenant.
 func driveMix(o Options, bs trace.BatchStream, fn func(pos int, blk []trace.Record)) error {
-	buf := make([]trace.Record, o.batchSize())
+	buf := make([]trace.Record, trace.DefaultBatchSize)
 	for done := 0; done < o.Accesses; {
 		want := min(len(buf), o.Accesses-done)
 		got := bs.NextBatch(buf[:want])

@@ -115,7 +115,7 @@ func TestPartitionLDISAwareDiffers(t *testing.T) {
 }
 
 // TestPartitionDeterminism: the rendered tables are byte-identical
-// across worker counts and batch sizes.
+// across worker counts.
 func TestPartitionDeterminism(t *testing.T) {
 	base := partitionOpts()
 	rows, err := Partition(base)
@@ -126,7 +126,6 @@ func TestPartitionDeterminism(t *testing.T) {
 
 	variants := []Options{
 		{Accesses: base.Accesses, WarmupFrac: base.WarmupFrac, Parallel: 4},
-		{Accesses: base.Accesses, WarmupFrac: base.WarmupFrac, Parallel: 2, BatchSize: 512},
 	}
 	for i, o := range variants {
 		rows, err := Partition(o)
@@ -134,7 +133,7 @@ func TestPartitionDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := renderPartition(rows); got != want {
-			t.Errorf("variant %d (parallel=%d batch=%d) diverged from sequential output", i, o.Parallel, o.BatchSize)
+			t.Errorf("variant %d (parallel=%d) diverged from sequential output", i, o.Parallel)
 		}
 	}
 }

@@ -63,10 +63,11 @@ func TestRowTraceCap(t *testing.T) {
 // TestSharedRowMatchesOwnStream: a cell driven from the row's shared
 // trace (zero-copy blocks) and the same cell driven from its own
 // stream end in identical window totals and L2 statistics, for every
-// organization the orgs experiment compares. The block size does not
-// divide the window, so partial blocks are covered too.
+// organization the orgs experiment compares. Partial blocks are
+// covered too: neither the 7,500-record warmup nor the 22,500-record
+// measurement window is a multiple of trace.DefaultBatchSize (4096).
 func TestSharedRowMatchesOwnStream(t *testing.T) {
-	o := Options{Accesses: 30_000, WarmupFrac: 0.25, BatchSize: 777}
+	o := Options{Accesses: 30_000, WarmupFrac: 0.25}
 	prof := mustProfile(t, "twolf")
 	type build func() (*hierarchy.System, func() any)
 	trad := func(cfg cache.Config) build {

@@ -73,11 +73,11 @@ type System struct {
 	L2  L2
 
 	// Instructions counts retired instructions (from Instret fields).
-	Instructions uint64 //ldis:shard-owned
+	Instructions uint64
 	// Classes histograms accesses by service class.
 	Classes *stats.Histogram
 	// DemandAccesses counts processor-side references.
-	DemandAccesses uint64 //ldis:shard-owned
+	DemandAccesses uint64
 
 	batchBuf []trace.Record
 }
@@ -149,22 +149,6 @@ func (s *System) DoBatch(recs []trace.Record) {
 	}
 }
 
-// doBatchShard drives only the records owned by one shard — those
-// whose line address satisfies la&mask == shard — through the system.
-// Skipped records belong to (and are processed by) sibling shards, so
-// summing any counter across all shards reproduces the sequential
-// total exactly.
-//
-//ldis:noalloc
-func (s *System) doBatchShard(recs []trace.Record, mask, shard uint64) {
-	for i := range recs {
-		if uint64(recs[i].Line())&mask != shard {
-			continue
-		}
-		s.Do(recs[i])
-	}
-}
-
 // Run drives up to n accesses from the stream through the system (all
 // of them if n <= 0) and returns how many were performed. The stream
 // is consumed through the batched bulk path, so every Run caller —
@@ -229,10 +213,8 @@ func (w *Window) L2Accesses() uint64 { return w.sys.L2.Accesses() - w.startAcces
 // MPKI returns the window's misses per kilo-instruction.
 func (w *Window) MPKI() float64 { return stats.MPKI(w.Misses(), w.Instructions()) }
 
-// WindowTotals is a window's counter deltas in plain integer form, the
-// unit the sharded runner merges: per-shard deltas sum commutatively to
-// exactly the sequential deltas, so derived floats (MPKI) come out
-// byte-identical.
+// WindowTotals is a window's counter deltas in plain integer form, so
+// cells can carry them through checkpoints.
 type WindowTotals struct {
 	Instructions uint64
 	Misses       uint64
@@ -248,16 +230,7 @@ func (w *Window) Totals() WindowTotals {
 	}
 }
 
-// Add folds another shard's deltas in.
-//
-//ldis:noalloc
-func (t *WindowTotals) Add(o WindowTotals) {
-	t.Instructions += o.Instructions
-	t.Misses += o.Misses
-	t.L2Accesses += o.L2Accesses
-}
-
-// MPKI returns the merged misses per kilo-instruction.
+// MPKI returns the window's misses per kilo-instruction.
 func (t WindowTotals) MPKI() float64 { return stats.MPKI(t.Misses, t.Instructions) }
 
 // ---------------------------------------------------------------------

@@ -3,6 +3,7 @@ package hierarchy
 import (
 	"testing"
 
+	"ldis/internal/cache"
 	"ldis/internal/distill"
 	"ldis/internal/mem"
 	"ldis/internal/sfp"
@@ -262,5 +263,25 @@ func TestInstructionFetchOtherL2s(t *testing.T) {
 	}
 	if got := sysS.Do(ia); got != L2Hit {
 		t.Errorf("sfp warm ifetch = %v", got)
+	}
+}
+
+// warmTradSystem returns a traditional system whose caches already
+// hold every line of the returned record block.
+func warmTradSystem() (*System, []trace.Record) {
+	sys, _ := Traditional(cache.Config{Name: "t", SizeBytes: 64 * 8 * mem.LineSize, Ways: 8})
+	recs := make([]trace.Record, 256)
+	for i := range recs {
+		recs[i] = access(i%64, i%8, i%5 == 0, 1)
+	}
+	sys.DoBatch(recs)
+	return sys, recs
+}
+
+// The steady-state batched hot path must not allocate.
+func TestDoBatchZeroAllocs(t *testing.T) {
+	sys, recs := warmTradSystem()
+	if n := testing.AllocsPerRun(500, func() { sys.DoBatch(recs) }); n != 0 {
+		t.Errorf("DoBatch allocates %.1f/op", n)
 	}
 }

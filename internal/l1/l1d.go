@@ -288,16 +288,3 @@ func (c *Cache) ValidBits(la mem.LineAddr) mem.Footprint {
 func (c *Cache) lineFromTag(tag uint64, setIdx int) mem.LineAddr {
 	return mem.LineAddr(tag<<c.tagShift | uint64(setIdx))
 }
-
-// Merge folds a sibling shard's counters into s: shards partition the
-// line-address space, so plain sums reproduce the sequential totals.
-//
-//ldis:noalloc
-func (s *Stats) Merge(o *Stats) {
-	s.Accesses += o.Accesses
-	s.Hits += o.Hits
-	s.SectorMisses += o.SectorMisses
-	s.LineMisses += o.LineMisses
-	s.Evictions += o.Evictions
-	s.Writebacks += o.Writebacks
-}

@@ -140,17 +140,6 @@ func (h *Histogram) Clone() *Histogram {
 	return c
 }
 
-// Merge adds other's buckets into h. The histograms must be the same size.
-func (h *Histogram) Merge(other *Histogram) {
-	if len(other.buckets) != len(h.buckets) {
-		panic(fmt.Sprintf("stats: merging histogram %q (%d buckets) into %q (%d buckets)",
-			other.name, len(other.buckets), h.name, len(h.buckets)))
-	}
-	for i, b := range other.buckets {
-		h.buckets[i] += b
-	}
-}
-
 // String renders the histogram compactly for debugging.
 func (h *Histogram) String() string {
 	return fmt.Sprintf("%s%v", h.name, h.buckets)

@@ -90,7 +90,7 @@ func TestHistogramFractions(t *testing.T) {
 	}
 }
 
-func TestHistogramResetCloneMerge(t *testing.T) {
+func TestHistogramResetClone(t *testing.T) {
 	h := NewHistogram("a", 3)
 	h.AddN(1, 5)
 	c := h.Clone()
@@ -101,20 +101,6 @@ func TestHistogramResetCloneMerge(t *testing.T) {
 	if c.Count(1) != 5 {
 		t.Error("Clone should be independent")
 	}
-	h.AddN(2, 2)
-	h.Merge(c)
-	if h.Count(1) != 5 || h.Count(2) != 2 {
-		t.Errorf("Merge wrong: %v", h)
-	}
-}
-
-func TestHistogramMergeSizeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on size mismatch")
-		}
-	}()
-	NewHistogram("a", 2).Merge(NewHistogram("b", 3))
 }
 
 func TestNewHistogramPanicsOnZeroBuckets(t *testing.T) {

@@ -84,7 +84,7 @@ func (c ToucheConfig) Validate() error {
 
 // ToucheStats counts compressed-lookup and install-filter events.
 // All fields are owned by the simulating goroutine (one ToucheTags per
-// cache, one cache per shard) and merged after the run.
+// cache).
 type ToucheStats struct {
 	Lookups             uint64 // demand lookups through the compressed path
 	Hits                uint64 // signature match verified by the full tag
@@ -94,20 +94,9 @@ type ToucheStats struct {
 	SuperblockEvictions uint64 // resident lines evicted for superblock-entry pressure
 }
 
-// Merge accumulates b into s.
-func (s *ToucheStats) Merge(b ToucheStats) {
-	s.Lookups += b.Lookups
-	s.Hits += b.Hits
-	s.AliasSafeMisses += b.AliasSafeMisses
-	s.ChecksumCollisions += b.ChecksumCollisions
-	s.AliasEvictions += b.AliasEvictions
-	s.SuperblockEvictions += b.SuperblockEvictions
-}
-
 // ToucheTags is the compressed-tag lookup/install filter shared by all
 // sets of one word-organized cache. It holds no per-set state — the
-// signature and checksum are pure functions of a line's tag — so it
-// composes with set-interleaved sharding untouched.
+// signature and checksum are pure functions of a line's tag.
 type ToucheTags struct {
 	cfg       ToucheConfig
 	sbEntries int
@@ -118,7 +107,7 @@ type ToucheTags struct {
 
 	// Stats points at the counter block the filter increments. It
 	// defaults to a private block; the distill cache re-points it into
-	// its own Stats so shard merging folds Touché counters for free.
+	// its own Stats so Touché counters are reported with the cache's.
 	Stats *ToucheStats
 
 	evictBuf  []Line
