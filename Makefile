@@ -20,17 +20,11 @@
 # the hierarchy harness (internal/hierarchy), the bounded-parallelism
 # pools (internal/par), the concurrent observability registry
 # (internal/obs), and the ldisd service (internal/server).
-# `make bench-smoke` writes a short throughput run to benchmarks/latest.
 # `make perfbench-smoke` runs the repository benchmark's own tests and
 # one short sweep pass and one short tenants pass, which exit nonzero
 # on any output-digest mismatch (see perfbench/README.md).
-# `make bench` writes a fresh throughput snapshot to benchmarks/latest;
-# `make bench-gate` fails if it regressed >$(BENCH_TOL) against the
-# committed benchmarks/baseline; `make bench-promote` blesses the
-# latest snapshot as the new baseline (commit the result). Workflow:
-#   make bench          # measure (single worker, repeats, median)
-#   make bench-gate     # compare against benchmarks/baseline
-#   make bench-promote  # intentional perf change: update the baseline
+# `make bench-ab BASE=<rev>` is the performance gate: perfbench on BASE
+# and on the working tree in alternating pairs on one host (cmd/benchab).
 # `make microbench` runs the Go testing benchmarks (per-figure,
 # hot-path, scheduler fan-out, and the MRC engine's per-access cost).
 # `make fuzz-smoke` runs the trace-codec and checkpoint-scan fuzzers
@@ -71,16 +65,10 @@
 GO ?= go
 
 .PHONY: all build vet lint lint-vet lint-json lint-fix-check \
-	lint-install test check race test-race microbench bench \
-	bench-gate bench-promote bench-smoke perfbench-smoke chaos fuzz-smoke mrc-smoke \
+	lint-install test check race test-race microbench bench-ab \
+	perfbench-smoke chaos fuzz-smoke mrc-smoke \
 	obs-smoke ldisd-smoke golden golden-promote partition-smoke orgs-smoke examples govulncheck profile \
 	clean
-
-# Allowed fractional slowdown per experiment before bench-gate fails.
-BENCH_TOL ?= 0.05
-# The pinned gate workload: the headline experiments, single worker,
-# three repeats with the median wall time reported.
-BENCH_FLAGS = -accesses 200000 -parallel 1 -bench-repeats 3 fig6 fig7 fig8 table5 partition orgs
 
 all: check
 
@@ -262,34 +250,11 @@ govulncheck:
 microbench:
 	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/mrc
 
-# Measure: write a fresh throughput snapshot to benchmarks/latest.
-bench:
-	mkdir -p benchmarks/latest
-	$(GO) run ./cmd/ldisexp -throughput benchmarks/latest/BENCH_throughput.json \
-		$(BENCH_FLAGS) > /dev/null
-
-# Gate: regenerate the latest snapshot and fail on any experiment (or
-# the total) more than BENCH_TOL slower than the committed baseline.
-bench-gate: bench
-	$(GO) run ./cmd/benchgate -tolerance $(BENCH_TOL)
-
-# Promote: bless benchmarks/latest as the committed baseline. Run this
-# only for intentional performance changes, then commit the result.
-bench-promote:
-	@test -f benchmarks/latest/BENCH_throughput.json || \
-		{ echo "bench-promote: run 'make bench' first"; exit 1; }
-	mkdir -p benchmarks/baseline
-	cp benchmarks/latest/BENCH_throughput.json benchmarks/baseline/BENCH_throughput.json
-	@echo "bench-promote: baseline updated; commit benchmarks/baseline"
-
-# Short throughput run into benchmarks/latest (never committed; bless
-# a snapshot as the baseline only through bench-promote). Sized to
-# finish in well under a minute on one core.
-bench-smoke:
-	mkdir -p benchmarks/latest
-	$(GO) run ./cmd/ldisexp -accesses 200000 -throughput benchmarks/latest/BENCH_throughput.json \
-		fig6 fig7 fig8 table5 partition > /dev/null
-	@tail -n +2 benchmarks/latest/BENCH_throughput.json | head -n 12
+# Same-host A/B performance gate against BASE (see cmd/benchab).
+bench-ab:
+	@mkdir -p bin
+	$(GO) build -o bin/benchab ./cmd/benchab
+	bin/benchab "$(BASE)"
 
 # Repository benchmark correctness: perfbench's own tests, then one
 # short sweep pass and one short tenants (partition) pass, each of
@@ -309,4 +274,4 @@ profile:
 	@echo "inspect with: go tool pprof profiles/cpu.prof"
 
 clean:
-	rm -rf profiles benchmarks/latest bin lint-report.json
+	rm -rf profiles bin lint-report.json .bench_build

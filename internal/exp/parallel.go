@@ -199,8 +199,8 @@ func mapBenchmarks[T any](o Options, fn func(prof *benchmark, co *obs.Cell) (T, 
 }
 
 // simAccesses counts processor-side accesses driven through simulated
-// systems, across all workers, since the last reset. cmd/ldisexp's
-// -throughput mode divides it by wall time for an accesses/sec figure.
+// systems, across all workers, since the last reset. perfbench turns it
+// into its per-access and per-second figures.
 var simAccesses atomic.Uint64
 
 func countSimAccesses(n int) { simAccesses.Add(uint64(n)) }
@@ -217,8 +217,8 @@ var decodeClock = obs.SystemClock()
 
 // decodeNanos accumulates time spent producing records — synthetic
 // generation, shared-row fills, and block refills — summed across
-// workers since the last reset. It is reported alongside throughput
-// figures, never subtracted from them.
+// workers since the last reset. Only perfbench's tests read it, to show
+// that its rate subtracts no generation time.
 var decodeNanos atomic.Int64
 
 func countDecodeNanos(d int64) { decodeNanos.Add(d) }
